@@ -41,10 +41,11 @@ from .errors import (
     InconclusiveInputError,
     InsufficientTailError,
 )
-from .odeint import (
+from .odeint import (  # noqa: F401  (concatenate_traces is kept here for perfbench/tracer.py)
     ComplexState,
     IntegratorConfig,
     SolutionTrace,
+    _Stepper,
     concatenate_traces,
     integrate_grid,
 )
@@ -413,20 +414,25 @@ def _shell_log_integral(seg: SolutionTrace) -> float:
     return log_trapezoid(log_v[::-1], seg.x[::-1])
 
 
-def _integrate_shells(q, eigenvalue, edges, init, cfg, points_per_shell, early_stop):
-    """March one solution shell by shell; returns (trace, per-shell logs)."""
-    state = init
-    segments = []
-    logs: List[float] = []
-    for k in range(len(edges) - 1):
-        grid = _segment_grid(edges[k], edges[k + 1], points_per_shell + 1)
-        seg = integrate_grid(q, eigenvalue, grid, state, cfg)
-        segments.append(seg)
-        logs.append(_shell_log_integral(seg))
-        state = seg.final_state
-        if early_stop and _decisively_divergent(logs):
+def _march_shells(q, eigenvalue, edges, init, cfg, points_per_shell, stepper, early_stop):
+    """March solution columns shell by shell along `edges` on one stepper.
+
+    Returns the per-shell logs of each column, in marching order. With
+    early_stop the march ends once any column diverges decisively, so
+    every column covers the same shells.
+    """
+    states = init
+    logs: List[List[float]] = [[] for _ in init]
+    for a, b in zip(edges, edges[1:]):
+        grid = _segment_grid(a, b, points_per_shell + 1)
+        seg = integrate_grid(q, eigenvalue, grid, states, cfg, _stepper=stepper)
+        columns = seg.columns()
+        for col_logs, col in zip(logs, columns):
+            col_logs.append(_shell_log_integral(col))
+        states = [col.final_state for col in columns]
+        if early_stop and any(_decisively_divergent(v) for v in logs):
             break
-    return concatenate_traces(segments), logs
+    return logs
 
 
 def classify_numeric(
@@ -471,30 +477,28 @@ def classify_numeric(
             fit_window=fit_window,
         )
     edges = _shell_edges(endpoint, anchor, cfg, max_shells)
-    reports: List[TailReport] = []
-    shell_logs: List[List[float]] = []
-    for seed in (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)):
-        _, logs = _integrate_shells(
-            q, eigenvalue, edges, seed, cfg, points_per_shell, early_stop=True
+    # One stepper per endpoint: its step budget covers both marches.
+    stepper = _Stepper(q, eigenvalue, cfg)
+    pair = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
+    shell_logs = _march_shells(
+        q, eigenvalue, edges, pair, cfg, points_per_shell, stepper, early_stop=True
+    )
+    reports = [
+        TailReport(
+            shell_integrals=tuple(_safe_exp(v) for v in logs),
+            log_shell_integrals=tuple(logs),
+            fitted_exponent=fit_shell_exponent(logs, fit_window),
+            margin=margin,
+            solution_index=index,
         )
-        shell_logs.append(logs)
-    # Both solutions must be judged over the same shells.
-    n_common = min(len(v) for v in shell_logs)
-    for index, logs in enumerate(shell_logs, start=1):
-        use = logs[:n_common]
-        slope = fit_shell_exponent(use, fit_window)
-        reports.append(
-            TailReport(
-                shell_integrals=tuple(_safe_exp(v) for v in use),
-                log_shell_integrals=tuple(use),
-                fitted_exponent=slope,
-                margin=margin,
-                solution_index=index,
-            )
-        )
+        for index, logs in enumerate(shell_logs, start=1)
+    ]
     if endpoint.is_infinite:
         # Keep the more divergent forward report as the dominant-solution
-        # evidence and replace the other by the reverse-recovered tail.
+        # evidence and replace the other by the subdominant tail, recovered
+        # by integrating backward from the truncation point: backward in x
+        # the solution that decays toward infinity is the growing one, so
+        # any seed relaxes onto it away from the start point.
         dominant = max(reports, key=lambda r: r.fitted_exponent)
         dominant = TailReport(
             shell_integrals=dominant.shell_integrals,
@@ -503,39 +507,21 @@ def classify_numeric(
             margin=margin,
             solution_index=1,
         )
-        _, rev_logs = _reverse_subdominant(
-            q, eigenvalue, edges[: n_common + 1], cfg, points_per_shell
+        reached = edges[: len(shell_logs[0]) + 1]
+        (rev_logs,) = _march_shells(
+            q, eigenvalue, reached[::-1], (ComplexState(1.0, 0.0),), cfg, points_per_shell,
+            stepper, early_stop=False,
         )
-        rev_slope = fit_shell_exponent(rev_logs, fit_window)
+        rev_logs.reverse()  # order shells toward the endpoint
         subdominant = TailReport(
             shell_integrals=tuple(_safe_exp(v) for v in rev_logs),
             log_shell_integrals=tuple(rev_logs),
-            fitted_exponent=rev_slope,
+            fitted_exponent=fit_shell_exponent(rev_logs, fit_window),
             margin=margin,
             solution_index=2,
         )
         reports = [dominant, subdominant]
     return _compose_endpoint_class(reports)
-
-
-def _reverse_subdominant(q, eigenvalue, edges, cfg, points_per_shell):
-    """Integrate backward from the truncation point toward the anchor.
-
-    Backward in x the solution that decays toward infinity is the
-    growing direction, so any seed relaxes onto it and the returned
-    trace represents the subdominant mode away from the start point.
-    """
-    segments = []
-    logs: List[float] = []
-    state = ComplexState(1.0, 0.0)
-    for k in range(len(edges) - 1, 0, -1):
-        grid = _segment_grid(edges[k], edges[k - 1], points_per_shell + 1)
-        seg = integrate_grid(q, eigenvalue, grid, state, cfg)
-        segments.append(seg)
-        logs.append(_shell_log_integral(seg))
-        state = seg.final_state
-    logs.reverse()  # order shells toward the endpoint
-    return concatenate_traces(segments), logs
 
 
 def _compose_endpoint_class(reports: List[TailReport]) -> EndpointClass:

@@ -1,11 +1,19 @@
 """Adaptive integration of -y'' + q(x) y = l y as a first-order system.
 
 The equation is advanced as (y, y') with an embedded Dormand-Prince 5(4)
-pair under PI step-size control. Because one solution typically grows
-exponentially toward a singular endpoint when Im(l) != 0, the state is
-kept inside a fixed magnitude band: whenever |y| + |y'| leaves the band
-the pair is divided by its sum and the logarithm of that factor is
-accumulated separately, so the true solution at a grid point is
+pair under PI step-size control. Several solution columns, such as a
+fundamental pair, can share one step sequence: q depends only on x, so
+each attempted step evaluates q once per new stage abscissa (5 times;
+the value at the step's start is carried over from the previous step)
+and every column uses those values. A step is accepted only when the
+error norm of every column is at most 1, each column measured against
+its own scale abs_tol + rel_tol * |state|.
+
+Because one solution typically grows exponentially toward a singular
+endpoint when Im(l) != 0, each column is kept inside a fixed magnitude
+band: whenever |y| + |y'| leaves the band the column is divided by its
+sum and the logarithm of that factor is accumulated in the column's own
+log scale, so the true solution at a grid point is
 exp(log_scale) * (y, y'). The equation is linear, which makes the
 rescaling exact.
 
@@ -38,19 +46,18 @@ from .potentials import Potential, evaluate
 
 _EPS = float(np.finfo(float).eps)
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the 5th-order result).
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-# Difference between the 5th- and embedded 4th-order weights.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
+# solution (FSAL), and stages 6 and 7 share the abscissa x + h.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Difference between the 5th- and embedded 4th-order weights (E2 = 0).
+_E1, _E3, _E4, _E5 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200
+_E6, _E7 = 22 / 525, -1 / 40
 
 _SAFETY = 0.87  # PI equilibrium near 0.1*tol keeps accumulated error under 10*tol
 _PI_ALPHA = 0.7 / 5.0
@@ -109,7 +116,10 @@ class SolutionTrace:
 
     Arrays y, dy hold the banded mantissa pair; log_scale holds the
     accumulated logarithmic factors, so exp(log_scale[i]) * y[i] is the
-    true solution value at x[i].
+    true solution value at x[i]. Solutions advanced together carry a
+    trailing column axis in y, dy and log_scale; columns() splits them,
+    and the single-state accessors (state_at, final_state, to_csv) need
+    a single column.
     """
 
     eigenvalue: complex
@@ -122,6 +132,23 @@ class SolutionTrace:
 
     def __len__(self) -> int:
         return self.x.size
+
+    def columns(self) -> Tuple["SolutionTrace", ...]:
+        """One single-solution trace per column (the trace itself if it has none)."""
+        if self.y.ndim == 1:
+            return (self,)
+        return tuple(
+            SolutionTrace(
+                self.eigenvalue,
+                self.x,
+                self.y[:, j],
+                self.dy[:, j],
+                self.log_scale[:, j],
+                self.potential,
+                self.direction,
+            )
+            for j in range(self.y.shape[1])
+        )
 
     def index_of(self, x: float) -> int:
         tol = 4.0 * _EPS * max(1.0, abs(x))
@@ -180,7 +207,14 @@ def _normalized(y: complex, dy: complex, log_scale: float, band: float) -> Tuple
 
 
 class _Stepper:
-    """Dormand-Prince 5(4) with PI control for y'' = (q - l) y."""
+    """Dormand-Prince 5(4) with PI control for y'' = (q - l) y.
+
+    One stepper advances any number of solution columns on one shared
+    step sequence. It persists across consecutive advance() calls: the
+    step size, the PI error history, the value of q at the last abscissa
+    reached, and the count of attempted steps, which cfg.max_steps
+    bounds over the stepper's whole life.
+    """
 
     def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig):
         self.q = q
@@ -189,34 +223,34 @@ class _Stepper:
         self.steps = 0
         self.h = 0.0  # unsigned, carried across segments
         self.err_prev = 1.0
-        self.k1: Optional[Tuple[complex, complex]] = None
+        self.x: Optional[float] = None  # abscissa of the carried value p = q(x) - l
+        self.p = 0j
 
-    def _deriv(self, x: float, y: complex, dy: complex) -> Tuple[complex, complex]:
-        return dy, (evaluate(self.q, x) - self.l) * y
+    def advance(self, x0: float, x1: float, ys: Sequence[complex], dys: Sequence[complex],
+                log_scales: Sequence[float]):
+        """Integrate the columns (ys, dys, log_scales) from x0 to x1 (either direction).
 
-    def _initial_step(self, x: float, y: complex, dy: complex, span: float) -> float:
-        f1, f2 = self._deriv(x, y, dy)
-        scale = abs(y) + abs(dy)
-        rate = abs(f1) + abs(f2)
-        if rate > 0.0:
-            h = 0.01 * scale / rate
-        else:
-            h = 0.1 * span
-        return min(h, span)
-
-    def advance(self, x0: float, x1: float, y: complex, dy: complex, log_scale: float):
-        """Integrate from x0 to x1 (either direction), rescaling as needed."""
+        Returns new lists (ys, dys, log_scales); each column is rescaled
+        into the band on its own.
+        """
         cfg = self.cfg
+        q, l = self.q, self.l
+        abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+        band, inv_band = cfg.rescale_band, 1.0 / cfg.rescale_band
         sign = 1.0 if x1 > x0 else -1.0
         span = abs(x1 - x0)
         if span <= 64.0 * _EPS * max(abs(x0), abs(x1)):
             raise StepUnderflowError(
                 f"recording interval [{x0}, {x1}] is below float resolution"
             )
+        if self.x != x0:
+            self.x, self.p = x0, evaluate(q, x0) - l
+        p1 = self.p
+        ys, dys, log_scales = list(ys), list(dys), list(log_scales)
+        cols = range(len(ys))
         if self.h == 0.0:
-            self.h = self._initial_step(x0, y, dy, span)
+            self.h = min(span, *(_initial_step(y, dy, p1, span) for y, dy in zip(ys, dys)))
         x = x0
-        k1 = self.k1
         while True:
             remaining = abs(x1 - x)
             h = min(self.h, remaining)
@@ -227,44 +261,76 @@ class _Stepper:
                 raise StepUnderflowError(f"step {h} at x={x} is below machine spacing")
             self.steps += 1
             if self.steps > cfg.max_steps:
-                raise MaxStepsExceededError(f"exceeded {cfg.max_steps} steps")
+                raise MaxStepsExceededError(
+                    f"step budget of {cfg.max_steps} attempted steps exhausted at x={x!r}"
+                )
             hs = sign * h
-            if k1 is None:
-                k1 = self._deriv(x, y, dy)
-            k = [k1]
-            for i in range(1, 7):
-                ay = y
-                ady = dy
-                for aij, (f1, f2) in zip(_A[i], k):
-                    ay = ay + hs * aij * f1
-                    ady = ady + hs * aij * f2
-                k.append(self._deriv(x + _C[i] * hs, ay, ady))
-            # The stage-7 input is the 5th-order solution (FSAL property).
-            y5, dy5 = ay, ady
-            err_y = 0.0j
-            err_dy = 0.0j
-            for ei, (f1, f2) in zip(_E, k):
-                err_y += ei * f1
-                err_dy += ei * f2
-            err_y *= hs
-            err_dy *= hs
-            sc_y = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
-            sc_dy = cfg.abs_tol + cfg.rel_tol * max(abs(dy), abs(dy5))
-            err = math.sqrt(0.5 * ((abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2))
+            x_new = x1 if final else x + hs
+            p2 = evaluate(q, x + _C2 * hs) - l
+            p3 = evaluate(q, x + _C3 * hs) - l
+            p4 = evaluate(q, x + _C4 * hs) - l
+            p5 = evaluate(q, x + _C5 * hs) - l
+            p6 = evaluate(q, x_new) - l
+            b21 = hs * _A21
+            b31, b32 = hs * _A31, hs * _A32
+            b41, b42, b43 = hs * _A41, hs * _A42, hs * _A43
+            b51, b52, b53, b54 = hs * _A51, hs * _A52, hs * _A53, hs * _A54
+            b61, b62, b63, b64, b65 = hs * _A61, hs * _A62, hs * _A63, hs * _A64, hs * _A65
+            b71, b73, b74, b75, b76 = hs * _A71, hs * _A73, hs * _A74, hs * _A75, hs * _A76
+            e1, e3, e4, e5, e6, e7 = hs * _E1, hs * _E3, hs * _E4, hs * _E5, hs * _E6, hs * _E7
+            err2 = 0.0
+            ys_new = []
+            dys_new = []
+            for j in cols:
+                # Stage i has input (yi, di) and derivative (di, ki) with ki = pi * yi.
+                y = ys[j]
+                d1 = dys[j]
+                k1 = p1 * y
+                y2 = y + b21 * d1
+                d2 = d1 + b21 * k1
+                k2 = p2 * y2
+                y3 = y + b31 * d1 + b32 * d2
+                d3 = d1 + b31 * k1 + b32 * k2
+                k3 = p3 * y3
+                y4 = y + b41 * d1 + b42 * d2 + b43 * d3
+                d4 = d1 + b41 * k1 + b42 * k2 + b43 * k3
+                k4 = p4 * y4
+                y5 = y + b51 * d1 + b52 * d2 + b53 * d3 + b54 * d4
+                d5 = d1 + b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4
+                k5 = p5 * y5
+                y6 = y + b61 * d1 + b62 * d2 + b63 * d3 + b64 * d4 + b65 * d5
+                d6 = d1 + b61 * k1 + b62 * k2 + b63 * k3 + b64 * k4 + b65 * k5
+                k6 = p6 * y6
+                y7 = y + b71 * d1 + b73 * d3 + b74 * d4 + b75 * d5 + b76 * d6
+                d7 = d1 + b71 * k1 + b73 * k3 + b74 * k4 + b75 * k5 + b76 * k6
+                k7 = p6 * y7
+                err_y = e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7
+                err_dy = e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
+                sc_y = abs_tol + rel_tol * max(abs(y), abs(y7))
+                sc_dy = abs_tol + rel_tol * max(abs(d1), abs(d7))
+                col_err2 = (abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2
+                if not col_err2 <= err2:  # also propagates NaN
+                    err2 = col_err2
+                ys_new.append(y7)
+                dys_new.append(d7)
+            err = math.sqrt(0.5 * err2)
             if not math.isfinite(err):
                 raise NonFiniteError(f"integration blew up near x={x}")
             if err <= 1.0:
-                x = x1 if final else x + hs
-                y, dy = y5, dy5
-                k1 = k[6]
-                s = abs(y) + abs(dy)
-                if s == 0.0 or not math.isfinite(s):
-                    raise NonFiniteError(f"solution state degenerate at x={x}")
-                if s > cfg.rescale_band or s < 1.0 / cfg.rescale_band:
-                    y /= s
-                    dy /= s
-                    k1 = (k1[0] / s, k1[1] / s)
-                    log_scale += math.log(s)
+                x = x_new
+                self.x = x
+                self.p = p1 = p6
+                for j in cols:
+                    y, dy = ys_new[j], dys_new[j]
+                    s = abs(y) + abs(dy)
+                    if s == 0.0 or not math.isfinite(s):
+                        raise NonFiniteError(f"solution state degenerate at x={x}")
+                    if s > band or s < inv_band:
+                        y /= s
+                        dy /= s
+                        log_scales[j] += math.log(s)
+                    ys[j] = y
+                    dys[j] = dy
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -272,13 +338,18 @@ class _Stepper:
                 self.err_prev = max(err, 1e-10)
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 if final:
-                    break
+                    return ys, dys, log_scales
             else:
                 factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
                 self.h = h * factor
-                k1 = k[0]
-        self.k1 = k1
-        return y, dy, log_scale
+
+
+def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
+    """First step guess for one column: 1 % of its scale over its rate of change."""
+    rate = abs(dy) + abs(p * y)
+    if rate > 0.0:
+        return 0.01 * (abs(y) + abs(dy)) / rate
+    return 0.1 * span
 
 
 def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:
@@ -339,12 +410,19 @@ def integrate_grid(
     q: Potential,
     l: complex,
     grid: Sequence[float],
-    init: ComplexState,
+    init: Union[ComplexState, Sequence[ComplexState]],
     cfg: Optional[IntegratorConfig] = None,
     *,
     _stepper: Optional[_Stepper] = None,
 ) -> SolutionTrace:
-    """Integrate -y'' + q y = l y recording the state at every grid point."""
+    """Integrate -y'' + q y = l y recording the state at every grid point.
+
+    `init` is one initial state, or a sequence of them advanced together
+    on one step sequence; then the trace's y, dy and log_scale carry a
+    trailing column axis, one column per initial state. cfg.max_steps
+    bounds the attempted steps of this call, or of every call sharing
+    `_stepper`.
+    """
     cfg = cfg or IntegratorConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -355,21 +433,31 @@ def integrate_grid(
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
     l = complex(l)
-    y, dy, ls = _normalized(complex(init.y), complex(init.dy), float(init.log_scale), cfg.rescale_band)
-    ys = np.empty(grid.size, dtype=complex)
-    dys = np.empty(grid.size, dtype=complex)
-    lss = np.empty(grid.size, dtype=float)
-    ys[0], dys[0], lss[0] = y, dy, ls
+    single = isinstance(init, ComplexState)
+    states = (init,) if single else tuple(init)
+    if not states:
+        raise ValueError("need at least one initial state")
+    columns = [
+        _normalized(complex(s.y), complex(s.dy), float(s.log_scale), cfg.rescale_band)
+        for s in states
+    ]
+    ys, dys, lss = (list(c) for c in zip(*columns))
+    rows = [(ys, dys, lss)]
     stepper = _stepper or _Stepper(q, l, cfg)
-    for i in range(1, grid.size):
-        y, dy, ls = stepper.advance(grid[i - 1], grid[i], y, dy, ls)
-        ys[i], dys[i], lss[i] = y, dy, ls
+    points = grid.tolist()
+    for x0, x1 in zip(points, points[1:]):
+        ys, dys, lss = stepper.advance(x0, x1, ys, dys, lss)
+        rows.append((ys, dys, lss))
+    y_rows, dy_rows, ls_rows = zip(*rows)
+    y, dy, log_scale = (np.array(r) for r in (y_rows, dy_rows, ls_rows))
+    if single:
+        y, dy, log_scale = y[:, 0], dy[:, 0], log_scale[:, 0]
     return SolutionTrace(
         eigenvalue=l,
         x=grid,
-        y=ys,
-        dy=dys,
-        log_scale=lss,
+        y=y,
+        dy=dy,
+        log_scale=log_scale,
         potential=q,
         direction=1 if grid[-1] > grid[0] else -1,
     )
@@ -403,8 +491,8 @@ def fundamental_pair(
     """
     cfg = cfg or IntegratorConfig()
     grid = build_grid(q, x0, target, cfg)
-    first = integrate_grid(q, l, grid, ComplexState(1.0, 0.0), cfg)
-    second = integrate_grid(q, l, grid, ComplexState(0.0, 1.0), cfg)
+    pair = integrate_grid(q, l, grid, (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)), cfg)
+    first, second = pair.columns()
     return first, second
 
 

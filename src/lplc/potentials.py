@@ -245,6 +245,7 @@ _DECODERS = {
     "harmonic": lambda d: Harmonic(k=float(d["k"])),
     "sum": lambda d: Sum([from_dict(t) for t in d["terms"]]),
     "tabulated": lambda d: Tabulated(d["x"], d["q"]),
+    "mirrored": lambda d: Mirrored(from_dict(d["base"])),
 }
 
 

@@ -22,6 +22,7 @@ from lplc.errors import (
     AsymptoticsUnavailableError,
     InconclusiveInputError,
     InsufficientTailError,
+    MaxStepsExceededError,
 )
 from lplc.odeint import IntegratorConfig, SolutionTrace
 from lplc.potentials import (
@@ -167,6 +168,12 @@ class TestNumericEngine:
     def test_minus_infinity_mirrors(self):
         cls = classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, CFG)
         assert cls.verdict is LP
+
+    def test_step_budget_covers_the_whole_endpoint(self):
+        # the march to +inf takes about 1800 attempted steps in all, but
+        # fewer than 1000 in any one shell: the budget is per endpoint
+        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x="):
+            classify_numeric(PowerLaw(0.5, 1.0), PLUS_INF, 1.0, IntegratorConfig(max_steps=1000))
 
 
 class TestComposition:

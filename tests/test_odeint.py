@@ -139,6 +139,49 @@ class TestFundamentalPair:
                 assert drift < 1e-8 * (1.0 + abs(w[0]))
 
 
+class TestSharedMarch:
+    """Columns advanced together on one step sequence."""
+
+    SEEDS = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "q, grid",
+        [
+            (Coulomb(-1.0), np.geomspace(1.0, 1e-8, 429)),
+            (Coulomb(2.0), np.geomspace(1.0, 64.0, 97)),
+            (InverseSquare(2.0), np.geomspace(1.0, 1e-4, 213)),
+            (InverseSquare(-0.2), np.geomspace(1.0, 64.0, 97)),
+        ],
+    )
+    def test_pair_columns_match_separate_runs(self, q, grid):
+        pair = integrate_grid(q, 1j, grid, self.SEEDS, CFG)
+        assert pair.y.shape == pair.log_scale.shape == (grid.size, 2)
+        for column, seed in zip(pair.columns(), self.SEEDS):
+            alone = integrate_grid(q, 1j, grid, seed, CFG)
+            for got, want in (
+                (column.values(), alone.values()),
+                (column.derivative_values(), alone.derivative_values()),
+            ):
+                assert np.all(np.abs(got - want) <= 10 * CFG.rel_tol * np.abs(want))
+
+    @pytest.mark.parametrize(
+        "q, x0, target",
+        [
+            (Coulomb(-1.0), 1.0, 0.0),
+            (Coulomb(2.0), 0.5, 8.0),
+            (InverseSquare(-0.2), 1.0, 1e-4),
+            (InverseSquare(0.5), 1.0, 1e-2),
+            (InverseSquare(2.0), 1.0, 1e-2),
+        ],
+    )
+    def test_det_y_stays_one(self, q, x0, target):
+        # Abel: the Wronskian det Y of the pair is constant, 1 at the anchor
+        grid = build_grid(q, x0, target, CFG)
+        pair = integrate_grid(q, 1j, grid, self.SEEDS, CFG)
+        det_y = wronskian_values(*pair.columns())
+        assert np.max(np.abs(det_y - 1.0)) < 1e3 * CFG.rel_tol
+
+
 class TestWronskian:
     def test_linear_against_constant(self):
         # y1 = x (shifted: x - 1 + 1 from data (1,1)) vs y2 = 1: W = -1

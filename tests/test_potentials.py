@@ -10,6 +10,7 @@ from lplc.potentials import (
     Coulomb,
     Harmonic,
     InverseSquare,
+    Mirrored,
     PowerLaw,
     Sum,
     Tabulated,
@@ -175,6 +176,7 @@ class TestJsonCodec:
             Harmonic(2.0),
             Sum([Coulomb(1.0), InverseSquare(1.0)]),
             Tabulated([0.0, 0.5, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+            Mirrored(Sum([Coulomb(1.0), InverseSquare(1.0)])),
         ],
     )
     def test_round_trip(self, q):
