@@ -30,7 +30,7 @@ and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,10 +42,12 @@ from .errors import (
     InsufficientTailError,
 )
 from .odeint import (  # noqa: F401  (concatenate_traces is kept here for perfbench/tracer.py)
+    SHELL_POINTS,
     ComplexState,
     IntegratorConfig,
     SolutionTrace,
     _Stepper,
+    build_grid,
     concatenate_traces,
     integrate_grid,
 )
@@ -126,18 +128,15 @@ class TailReport:
 
     @property
     def fitted_ratio(self) -> float:
-        try:
-            return math.exp(self.fitted_exponent)
-        except OverflowError:
-            return math.inf
+        return _safe_exp(self.fitted_exponent)
 
     @property
     def convergent(self) -> bool:
-        return self.fitted_ratio < 1.0 - self.margin
+        return band_status(self.fitted_ratio, self.margin) == "convergent"
 
     @property
     def divergent(self) -> bool:
-        return self.fitted_ratio > 1.0 + self.margin
+        return band_status(self.fitted_ratio, self.margin) == "divergent"
 
     @property
     def inconclusive(self) -> bool:
@@ -313,6 +312,19 @@ def _safe_exp(v: float) -> float:
         return math.inf
 
 
+def band_status(ratio: float, margin: float) -> str:
+    """The verdict rule for a fitted per-shell ratio with a guard band.
+
+    'convergent' below 1 - margin, 'divergent' above 1 + margin, and
+    'inconclusive' inside the band (or for a NaN ratio).
+    """
+    if ratio < 1.0 - margin:
+        return "convergent"
+    if ratio > 1.0 + margin:
+        return "divergent"
+    return "inconclusive"
+
+
 def is_regular_endpoint(
     q: Potential,
     endpoint: Endpoint,
@@ -348,7 +360,7 @@ def is_regular_endpoint(
     if all(v <= _ZERO_FLOOR for v in logs):
         return RegularityReport(True, True, integrals, -math.inf, margin)
     slope = fit_shell_exponent(logs)
-    regular = _safe_exp(slope) < 1.0 - margin
+    regular = band_status(_safe_exp(slope), margin) == "convergent"
     return RegularityReport(regular, True, integrals, slope, margin)
 
 
@@ -368,36 +380,6 @@ def classify_asymptotic(problem: EffectiveProblem) -> EndpointClass:
     return EndpointClass(verdict=v, engine=Engine.ASYMPTOTIC, origin_coefficient=coeff)
 
 
-def _shell_edges(endpoint: Endpoint, anchor: float, cfg: IntegratorConfig, max_shells: int) -> List[float]:
-    """Recording-grid edges, one entry per shell boundary, anchor first."""
-    if endpoint.is_infinite:
-        if anchor <= 0.0:
-            raise ValueError("anchor must be positive toward an infinite endpoint")
-        n = min(max_shells, int(math.floor(math.log2(cfg.x_max / anchor))))
-        if n < DEFAULT_MIN_SHELLS:
-            raise InsufficientTailError("truncation radius leaves too few shells")
-        return [anchor * 2.0**k for k in range(n + 1)]
-    e = endpoint.position
-    distance = abs(anchor - e)
-    if distance == 0.0:
-        raise ValueError("anchor must be interior, not the endpoint itself")
-    n = min(max_shells, int(math.floor(math.log2(distance / cfg.x_min))))
-    if n < DEFAULT_MIN_SHELLS:
-        raise InsufficientTailError("endpoint stand-off leaves too few shells")
-    sign = 1.0 if anchor > e else -1.0
-    return [e + sign * distance * 2.0**-k for k in range(n + 1)]
-
-
-def _segment_grid(a: float, b: float, points: int) -> np.ndarray:
-    """Log-uniform recording points from a to b (in distance-to-endpoint terms
-    both shell orientations reduce to a geometric progression)."""
-    if a > 0 and b > 0:
-        return np.geomspace(a, b, points)
-    if a < 0 and b < 0:
-        return -np.geomspace(-a, -b, points)
-    return np.linspace(a, b, points)
-
-
 def _decisively_divergent(logs: Sequence[float]) -> bool:
     if len(logs) < DEFAULT_MIN_SHELLS:
         return False
@@ -414,18 +396,19 @@ def _shell_log_integral(seg: SolutionTrace) -> float:
     return log_trapezoid(log_v[::-1], seg.x[::-1])
 
 
-def _march_shells(q, eigenvalue, edges, init, cfg, points_per_shell, stepper, early_stop):
-    """March solution columns shell by shell along `edges` on one stepper.
+def _march_shells(q, eigenvalue, grid, n_shells, init, cfg, stepper, early_stop):
+    """March solution columns over the first n_shells shells of `grid` on one stepper.
 
+    Shell k is grid[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1].
     Returns the per-shell logs of each column, in marching order. With
     early_stop the march ends once any column diverges decisively, so
     every column covers the same shells.
     """
     states = init
     logs: List[List[float]] = [[] for _ in init]
-    for a, b in zip(edges, edges[1:]):
-        grid = _segment_grid(a, b, points_per_shell + 1)
-        seg = integrate_grid(q, eigenvalue, grid, states, cfg, _stepper=stepper)
+    for k in range(n_shells):
+        shell = grid[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1]
+        seg = integrate_grid(q, eigenvalue, shell, states, cfg, _stepper=stepper)
         columns = seg.columns()
         for col_logs, col in zip(logs, columns):
             col_logs.append(_shell_log_integral(col))
@@ -444,13 +427,13 @@ def classify_numeric(
     eigenvalue: complex = 1j,
     margin: float = DEFAULT_MARGIN,
     max_shells: int = DEFAULT_MAX_SHELLS,
-    points_per_shell: int = 16,
     fit_window: int = DEFAULT_FIT_WINDOW,
 ) -> EndpointClass:
     """Numeric endpoint classification at a non-real probe eigenvalue.
 
-    A fundamental pair is integrated from the anchor toward the endpoint
-    and the square-integrability of each spanning solution is judged
+    A fundamental pair is integrated from the anchor toward the endpoint,
+    over the first max_shells whole shells of build_grid's recording
+    grid, and the square-integrability of each spanning solution is judged
     from its dyadic-shell report: limit circle iff both tails converge,
     limit point if at least one diverges, inconclusive when a fitted
     ratio falls inside the guard band. Toward an infinite endpoint the
@@ -473,16 +456,20 @@ def classify_numeric(
             eigenvalue=eigenvalue,
             margin=margin,
             max_shells=max_shells,
-            points_per_shell=points_per_shell,
             fit_window=fit_window,
         )
-    edges = _shell_edges(endpoint, anchor, cfg, max_shells)
+    if endpoint.is_infinite and anchor <= 0.0:
+        raise ValueError("anchor must be positive toward an infinite endpoint")
+    grid = build_grid(q, anchor, endpoint.position, cfg)
+    n_shells = min(max_shells, (grid.size - 1) // SHELL_POINTS)
+    if n_shells < DEFAULT_MIN_SHELLS:
+        raise InsufficientTailError(
+            f"the recording grid toward {endpoint.label()} holds only {n_shells} whole shells"
+        )
     # One stepper per endpoint: its step budget covers both marches.
     stepper = _Stepper(q, eigenvalue, cfg)
     pair = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
-    shell_logs = _march_shells(
-        q, eigenvalue, edges, pair, cfg, points_per_shell, stepper, early_stop=True
-    )
+    shell_logs = _march_shells(q, eigenvalue, grid, n_shells, pair, cfg, stepper, early_stop=True)
     reports = [
         TailReport(
             shell_integrals=tuple(_safe_exp(v) for v in logs),
@@ -499,18 +486,11 @@ def classify_numeric(
         # by integrating backward from the truncation point: backward in x
         # the solution that decays toward infinity is the growing one, so
         # any seed relaxes onto it away from the start point.
-        dominant = max(reports, key=lambda r: r.fitted_exponent)
-        dominant = TailReport(
-            shell_integrals=dominant.shell_integrals,
-            log_shell_integrals=dominant.log_shell_integrals,
-            fitted_exponent=dominant.fitted_exponent,
-            margin=margin,
-            solution_index=1,
-        )
-        reached = edges[: len(shell_logs[0]) + 1]
+        dominant = replace(max(reports, key=lambda r: r.fitted_exponent), solution_index=1)
+        reached = len(shell_logs[0])
         (rev_logs,) = _march_shells(
-            q, eigenvalue, reached[::-1], (ComplexState(1.0, 0.0),), cfg, points_per_shell,
-            stepper, early_stop=False,
+            q, eigenvalue, grid[: SHELL_POINTS * reached + 1][::-1], reached,
+            (ComplexState(1.0, 0.0),), cfg, stepper, early_stop=False,
         )
         rev_logs.reverse()  # order shells toward the endpoint
         subdominant = TailReport(

@@ -134,7 +134,6 @@ def _classify_report_dict(problem_in: dict, report: _classify.ClassificationRepo
             "abs_tol": cfg.abs_tol,
             "max_steps": cfg.max_steps,
             "rescale_band": cfg.rescale_band,
-            "geometric_ratio": cfg.geometric_ratio,
             "x_min": cfg.x_min,
             "x_max": cfg.x_max,
             "margin": margin,

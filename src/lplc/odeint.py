@@ -17,10 +17,13 @@ log scale, so the true solution at a grid point is
 exp(log_scale) * (y, y'). The equation is linear, which makes the
 rescaling exact.
 
-Recording grids accumulate geometrically toward a finite target (spacing
-ratio = cfg.geometric_ratio) and are uniform in log(x) toward infinity,
-which is realized as truncation at cfg.x_max. A finite endpoint where
-the potential cannot be evaluated is approached no closer than cfg.x_min.
+build_grid is the one recording-grid policy. It lays out whole dyadic
+shells of SHELL_POINTS points each: toward a finite target the distance
+to the target halves once per shell, down to cfg.x_min, and toward an
+infinite target |x| doubles once per shell, up to the truncation radius
+cfg.x_max. Inside a shell the points are geometric in that distance, and
+every SHELL_POINTS-th point is exactly a shell edge. A finite target
+where the potential cannot be evaluated is never recorded.
 
 Integration is a pure function of its inputs; traces are immutable, so
 independent integrations may run concurrently without shared state.
@@ -36,15 +39,18 @@ import numpy as np
 
 from .errors import (
     GridMismatchError,
+    InsufficientTailError,
     MaxStepsExceededError,
     MissingDerivativeError,
     NonFiniteError,
-    OutOfRangeError,
+    PotentialEvaluationError,
     StepUnderflowError,
 )
 from .potentials import Potential, evaluate
 
 _EPS = float(np.finfo(float).eps)
+
+SHELL_POINTS = 16  # recording intervals per dyadic shell
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution (FSAL), and stages 6 and 7 share the abscissa x + h.
@@ -87,13 +93,12 @@ class ComplexState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and grid policy for the adaptive integrator."""
+    """Tolerances, step budget and grid limits for the adaptive integrator."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
     rescale_band: float = 100.0
-    geometric_ratio: float = 2.0 ** (-1.0 / 16.0)  # 16 recording points per dyadic shell
     x_min: float = 1e-8
     x_max: float = 1e4
 
@@ -102,8 +107,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1000:
             raise ValueError("max_steps must be at least 1000")
-        if not 0.0 < self.geometric_ratio < 1.0:
-            raise ValueError("geometric_ratio must lie in (0, 1)")
         if not self.rescale_band > 1.0:
             raise ValueError("rescale_band must exceed 1")
         if not (self.x_min > 0.0 and self.x_max > 0.0):
@@ -353,57 +356,63 @@ def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
 
 
 def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:
-    """Recording grid from x_start toward x_end per the grid policy.
+    """Recording grid of whole dyadic shells from x_start toward x_end.
 
-    Toward a finite endpoint the distance to the target shrinks by
-    cfg.geometric_ratio per point; the endpoint itself is included only
-    when the potential evaluates there, otherwise the grid stops at
-    distance cfg.x_min. Toward an infinite endpoint the grid is uniform
-    in log|x| and truncated at cfg.x_max.
+    Toward a finite target at distance d, point j lies at distance
+    d * 2^(-j/SHELL_POINTS) from it, for the whole shells that stay at
+    least cfg.x_min away; the target itself closes the grid when the
+    potential evaluates there. Toward an infinite target,
+    |x| = |x_start| * 2^(j/SHELL_POINTS) for the whole shells inside
+    cfg.x_max, which closes the grid; a start at x <= 0 (in the direction
+    of travel) first runs uniformly up to |x| = 1.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
     if x_start == x_end:
         raise ValueError("x_start and x_end must differ")
-    r = cfg.geometric_ratio
     if math.isinf(x_end):
         sign = 1.0 if x_end > 0 else -1.0
         s0 = sign * x_start
         if s0 >= cfg.x_max:
-            raise ValueError("x_start already beyond the truncation radius")
-        pts = [s0]
+            raise InsufficientTailError(f"x_start={x_start!r} lies beyond the truncation radius")
+        ramp = np.empty(0)
         base = s0
-        if s0 < 1.0:
-            # linear ramp up to 1, where the log-uniform section starts
-            n_ramp = max(1, math.ceil((1.0 - s0) / (1.0 - r)))
-            pts.extend(np.linspace(s0, 1.0, n_ramp + 1)[1:].tolist())
+        if s0 <= 0.0:
+            n_ramp = math.ceil((1.0 - s0) / (1.0 - 2.0 ** (-1.0 / SHELL_POINTS)))
+            ramp = np.linspace(s0, 1.0, n_ramp + 1)[:-1]
             base = 1.0
-        growth = 1.0 / r
-        s = base * growth
-        while s < cfg.x_max * (1.0 - 1e-12):
-            pts.append(s)
-            s *= growth
-        pts.append(cfg.x_max)
-        return sign * np.asarray(pts)
+        n = max(0, math.floor(math.log2(cfg.x_max / base)))
+        pts = _shell_points(base, n, 1)
+        if pts[-1] < cfg.x_max:
+            pts = np.append(pts, cfg.x_max)
+        return sign * np.concatenate((ramp, pts))
     direction = 1.0 if x_end > x_start else -1.0
     distance = abs(x_end - x_start)
     try:
         evaluate(q, x_end)
         reachable = True
-    except Exception:
+    except PotentialEvaluationError:
         reachable = False
-    stop = cfg.x_min
-    dists = [distance]
-    d = distance * r
-    while d > stop:
-        dists.append(d)
-        d *= r
-    pts = [x_end - direction * dd for dd in dists]
+    n = max(0, math.floor(math.log2(distance / cfg.x_min)))
+    pts = x_end - direction * _shell_points(distance, n, -1)
     if reachable:
-        pts.append(x_end)
-    if len(pts) < 2:
-        pts = [x_start, x_end] if reachable else [x_start, x_end - direction * stop]
-    return np.asarray(pts)
+        pts = np.append(pts, x_end)
+    elif n == 0:
+        raise InsufficientTailError(
+            f"x_start={x_start!r} lies within one shell of x_end={x_end!r}, where q cannot be evaluated"
+        )
+    return pts
+
+
+def _shell_points(edge: float, n: int, step: int) -> np.ndarray:
+    """Points edge * 2^(step * j / SHELL_POINTS) for j = 0 .. n * SHELL_POINTS.
+
+    Each shell is the first one scaled by a power of two, which is exact,
+    so every SHELL_POINTS-th point is exactly edge * 2^(step * k).
+    """
+    first = edge * 2.0 ** (step * np.arange(SHELL_POINTS) / SHELL_POINTS)
+    shells = np.ldexp(first[None, :], step * np.arange(n + 1)[:, None])
+    return shells.ravel()[: n * SHELL_POINTS + 1]
 
 
 def integrate_grid(
@@ -461,20 +470,6 @@ def integrate_grid(
         potential=q,
         direction=1 if grid[-1] > grid[0] else -1,
     )
-
-
-def integrate(
-    q: Potential,
-    l: complex,
-    x_start: float,
-    x_end: float,
-    init: ComplexState,
-    cfg: Optional[IntegratorConfig] = None,
-) -> SolutionTrace:
-    """Integrate from x_start toward x_end (or +-inf) on the default grid."""
-    cfg = cfg or IntegratorConfig()
-    grid = build_grid(q, x_start, x_end, cfg)
-    return integrate_grid(q, l, grid, init, cfg)
 
 
 def fundamental_pair(

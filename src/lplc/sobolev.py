@@ -15,13 +15,18 @@ an h^2 error model. All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import dyadic_shell_log_integrals, fit_shell_exponent, DEFAULT_MARGIN
+from .classify import (
+    DEFAULT_MARGIN,
+    _safe_exp,
+    band_status,
+    dyadic_shell_log_integrals,
+    fit_shell_exponent,
+)
 from .errors import (
     BumpNotInteriorError,
     InsufficientTailError,
@@ -228,14 +233,8 @@ def w21_report(
         if len(logs) < 4:
             raise InsufficientTailError("grid spans fewer than 4 dyadic shells")
         slope = fit_shell_exponent(logs)
-        ratio = math.exp(slope) if slope < 700 else math.inf
-        if ratio < 1.0 - margin:
-            statuses.append("convergent")
-        elif ratio > 1.0 + margin:
-            statuses.append("divergent")
-        else:
-            statuses.append("inconclusive")
-        shells.append(tuple(math.exp(v) if v < 700 else math.inf for v in logs))
+        statuses.append(band_status(_safe_exp(slope), margin))
+        shells.append(tuple(_safe_exp(v) for v in logs))
         exponents.append(slope)
     return W21Report(
         statuses=tuple(statuses),

@@ -93,6 +93,13 @@ class TestClassifyCommand:
         assert code == 1
         assert "interval" in err
 
+    def test_geometric_ratio_is_not_a_config_key(self, capsys, tmp_path):
+        path = write_spec(tmp_path, dict(FREE_HALF_LINE, config={"geometric_ratio": 0.5}))
+        code, out, err = run(capsys, ["classify", "--input", path])
+        assert code == 1
+        assert out == ""
+        assert "unknown config keys" in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = write_spec(tmp_path, FREE_HALF_LINE)
         _, out1, _ = run(capsys, ["classify", "--input", path])
@@ -121,7 +128,6 @@ class TestClassifyCommand:
             "abs_tol",
             "max_steps",
             "rescale_band",
-            "geometric_ratio",
             "x_min",
             "x_max",
             "margin",

@@ -11,18 +11,18 @@ from lplc.errors import (
     StepUnderflowError,
 )
 from lplc.odeint import (
+    SHELL_POINTS,
     ComplexState,
     IntegratorConfig,
     build_grid,
     concatenate_traces,
     fundamental_pair,
     green_identity_residual,
-    integrate,
     integrate_grid,
     wronskian,
     wronskian_values,
 )
-from lplc.potentials import Coulomb, InverseSquare, PowerLaw, Sum, Zero
+from lplc.potentials import Coulomb, InverseSquare, Potential, PowerLaw, Sum, Zero
 from lplc.sobolev import SampledFunction
 
 CFG = IntegratorConfig()
@@ -39,7 +39,7 @@ def random_polynomial(rng, degree=3, scale=5.0):
 class TestIntegrate:
     def test_linear_solution(self):
         # y'' = 0 with y(0) = 0, y'(0) = 1 is exactly y = x
-        t = integrate(Zero(), 0.0, 0.0, 1.0, ComplexState(0.0, 1.0), CFG)
+        t = integrate_grid(Zero(), 0.0, build_grid(Zero(), 0.0, 1.0, CFG), ComplexState(0.0, 1.0), CFG)
         assert t.x[-1] == 1.0
         assert abs(t.values()[-1] - 1.0) < 10 * CFG.rel_tol
         assert abs(t.derivative_values()[-1] - 1.0) < 10 * CFG.rel_tol
@@ -49,24 +49,24 @@ class TestIntegrate:
         # solves -y'' = i y; check the oracle itself first
         mu = (1j - 1.0) / SQRT2
         assert abs(mu * mu + 1j) < 1e-15
-        t = integrate(Zero(), 1j, 0.0, 5.0, ComplexState(1.0, mu), CFG)
+        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 0.0, 5.0, CFG), ComplexState(1.0, mu), CFG)
         exact = cmath.exp(mu * 5.0)
         assert abs(t.values()[-1] - exact) / abs(exact) < 10 * CFG.rel_tol
 
     def test_inverse_square_power_solution(self):
         # oracle: differentiate y = x^2 symbolically: -(2) + (2/x^2) x^2 = 0,
         # so y = x^2 solves -y'' + 2 y / x^2 = 0 with y(1) = 1, y'(1) = 2
-        t = integrate(InverseSquare(2.0), 0.0, 1.0, 2.0, ComplexState(1.0, 2.0), CFG)
+        t = integrate_grid(InverseSquare(2.0), 0.0, build_grid(InverseSquare(2.0), 1.0, 2.0, CFG), ComplexState(1.0, 2.0), CFG)
         assert abs(t.values()[-1] - 4.0) / 4.0 < 10 * CFG.rel_tol
 
     def test_rejects_equal_bounds(self):
         with pytest.raises(ValueError):
-            integrate(Zero(), 0.0, 1.0, 1.0, ComplexState(1.0, 0.0), CFG)
+            integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 1.0, CFG), ComplexState(1.0, 0.0), CFG)
 
     def test_max_steps_exceeded(self):
         cfg = IntegratorConfig(max_steps=1000)
         with pytest.raises(MaxStepsExceededError):
-            integrate(Zero(), 1e8, 0.0, 10.0, ComplexState(1.0, 0.0), cfg)
+            integrate_grid(Zero(), 1e8, build_grid(Zero(), 0.0, 10.0, cfg), ComplexState(1.0, 0.0), cfg)
 
     def test_step_underflow_on_unresolvable_grid(self):
         # a 4-ulp recording interval at x = 1e16 cannot be resolved
@@ -89,7 +89,7 @@ class TestGrids:
         assert grid[-1] >= CFG.x_min  # singular endpoint never reached
         spacing = -np.diff(grid)
         ratios = spacing[1:] / spacing[:-1]
-        assert np.allclose(ratios, CFG.geometric_ratio, rtol=1e-9)
+        assert np.allclose(ratios, 2 ** (-1 / SHELL_POINTS), rtol=1e-9)
 
     def test_regular_endpoint_is_reached(self):
         grid = build_grid(Zero(), 0.0, 1.0, CFG)
@@ -100,7 +100,40 @@ class TestGrids:
         assert grid[-1] == CFG.x_max
         interior = grid[:-1]
         ratios = interior[1:] / interior[:-1]
-        assert np.allclose(ratios, 1.0 / CFG.geometric_ratio, rtol=1e-9)
+        assert np.allclose(ratios, 1.0 / 2 ** (-1 / SHELL_POINTS), rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "q, x_start, x_end",
+        [(InverseSquare(1.0), 0.7, 0.0), (Zero(), 0.3, 1.0), (Coulomb(1.0), 3.1, 2.0)],
+    )
+    def test_every_shell_edge_is_exact_toward_finite_target(self, q, x_start, x_end):
+        grid = build_grid(q, x_start, x_end, CFG)
+        d = abs(x_end - x_start)
+        sign = 1.0 if x_start > x_end else -1.0
+        edges = grid[: grid.size - 1 : SHELL_POINTS]
+        assert edges.size > 20
+        for k, edge in enumerate(edges):
+            assert edge == x_end + sign * d * 2.0**-k, k
+        # inside a shell the points are geometric in distance to the target
+        ratios = np.abs(x_end - grid[1 : SHELL_POINTS + 1]) / np.abs(x_end - grid[:SHELL_POINTS])
+        assert np.allclose(ratios, 2 ** (-1 / SHELL_POINTS), rtol=1e-9)
+
+    @pytest.mark.parametrize("x_start, x_end", [(1.5, math.inf), (-1.5, -math.inf), (0.3, math.inf)])
+    def test_every_shell_edge_is_exact_toward_infinity(self, x_start, x_end):
+        grid = build_grid(Zero(), x_start, x_end, CFG)
+        edges = grid[: grid.size - 1 : SHELL_POINTS]
+        assert edges.size > 10
+        for k, edge in enumerate(edges):
+            assert edge == x_start * 2.0**k, k
+        assert abs(grid[-1]) == CFG.x_max
+
+    def test_reachability_probe_lets_genuine_bugs_through(self):
+        class Broken(Potential):
+            def _raw(self, x):
+                raise RuntimeError("bug inside the potential")
+
+        with pytest.raises(RuntimeError, match="bug inside"):
+            build_grid(Broken(), 1.0, 0.0, CFG)
 
     def test_mirror_toward_minus_infinity(self):
         grid = build_grid(Zero(), -1.0, -math.inf, CFG)
@@ -185,8 +218,8 @@ class TestSharedMarch:
 class TestWronskian:
     def test_linear_against_constant(self):
         # y1 = x (shifted: x - 1 + 1 from data (1,1)) vs y2 = 1: W = -1
-        t1 = integrate(Zero(), 0.0, 1.0, 2.0, ComplexState(1.0, 1.0), CFG)  # y = x
-        t2 = integrate(Zero(), 0.0, 1.0, 2.0, ComplexState(1.0, 0.0), CFG)  # y = 1
+        t1 = integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 2.0, CFG), ComplexState(1.0, 1.0), CFG)  # y = x
+        t2 = integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 2.0, CFG), ComplexState(1.0, 0.0), CFG)  # y = 1
         assert abs(wronskian(t1, t2, 2.0) - (-1.0)) < 1e-8
 
     def test_self_wronskian_vanishes(self):
@@ -240,7 +273,7 @@ class TestInvariants:
 
     def test_band_invariant_after_rescale(self):
         cfg = IntegratorConfig(x_max=50.0)
-        t = integrate(Zero(), 1j, 1.0, math.inf, ComplexState(1.0, 0.5), cfg)
+        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 1.0, math.inf, cfg), ComplexState(1.0, 0.5), cfg)
         magnitude = np.abs(t.y) + np.abs(t.dy)
         assert np.all(magnitude <= cfg.rescale_band * (1 + 1e-12))
         assert np.all(magnitude >= 1.0 / cfg.rescale_band * (1 - 1e-12))
@@ -332,7 +365,7 @@ class TestTraceUtilities:
         assert abs(joined.values()[-1] - 2.0) < 1e-7
 
     def test_csv_round_trip(self):
-        t = integrate(Zero(), 1j, 0.0, 2.0, ComplexState(1.0, 0.0), CFG)
+        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 0.0, 2.0, CFG), ComplexState(1.0, 0.0), CFG)
         buf = io.StringIO()
         t.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
