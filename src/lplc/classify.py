@@ -10,7 +10,8 @@ provided.
   1/x^2 behaviour of the potential is >= 3/4 (non-strict inequality).
 * The numeric engine integrates a fundamental pair at the probe
   eigenvalue i toward the endpoint and measures the integrals of |y|^2
-  over successive dyadic shells. A geometric decay of the shell
+  over successive dyadic shells, which the integrator accumulates inside
+  its steps between shell edges. A geometric decay of the shell
   integrals certifies square integrability; geometric growth certifies
   its failure; shell ratios inside a guard band around 1 are reported
   as inconclusive rather than force-classified, because the borderline
@@ -388,30 +389,22 @@ def _decisively_divergent(logs: Sequence[float]) -> bool:
     return d1 > _DECISIVE_LOG_RATIO and d2 > _DECISIVE_LOG_RATIO
 
 
-def _shell_log_integral(seg: SolutionTrace) -> float:
-    """Log of the integral of |y|^2 over one shell segment."""
-    log_v = 2.0 * seg.log_abs_y()
-    if seg.x[0] < seg.x[-1]:
-        return log_trapezoid(log_v, seg.x)
-    return log_trapezoid(log_v[::-1], seg.x[::-1])
+def _march_shells(q, eigenvalue, edges, init, cfg, stepper, early_stop):
+    """March solution columns across the shells between `edges` on one stepper.
 
-
-def _march_shells(q, eigenvalue, grid, n_shells, init, cfg, stepper, early_stop):
-    """March solution columns over the first n_shells shells of `grid` on one stepper.
-
-    Shell k is grid[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1].
+    Shell k runs from edges[k] to edges[k + 1]; its log integral of
+    |y|^2 is the one the integrator accumulated inside its steps.
     Returns the per-shell logs of each column, in marching order. With
     early_stop the march ends once any column diverges decisively, so
     every column covers the same shells.
     """
     states = init
     logs: List[List[float]] = [[] for _ in init]
-    for k in range(n_shells):
-        shell = grid[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1]
-        seg = integrate_grid(q, eigenvalue, shell, states, cfg, _stepper=stepper)
+    for k in range(len(edges) - 1):
+        seg = integrate_grid(q, eigenvalue, edges[k : k + 2], states, cfg, _stepper=stepper)
         columns = seg.columns()
         for col_logs, col in zip(logs, columns):
-            col_logs.append(_shell_log_integral(col))
+            col_logs.append(float(col.log_square_integrals[0]))
         states = [col.final_state for col in columns]
         if early_stop and any(_decisively_divergent(v) for v in logs):
             break
@@ -466,10 +459,11 @@ def classify_numeric(
         raise InsufficientTailError(
             f"the recording grid toward {endpoint.label()} holds only {n_shells} whole shells"
         )
+    edges = grid[: SHELL_POINTS * n_shells + 1 : SHELL_POINTS]
     # One stepper per endpoint: its step budget covers both marches.
     stepper = _Stepper(q, eigenvalue, cfg)
     pair = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
-    shell_logs = _march_shells(q, eigenvalue, grid, n_shells, pair, cfg, stepper, early_stop=True)
+    shell_logs = _march_shells(q, eigenvalue, edges, pair, cfg, stepper, early_stop=True)
     reports = [
         TailReport(
             shell_integrals=tuple(_safe_exp(v) for v in logs),
@@ -489,8 +483,8 @@ def classify_numeric(
         dominant = replace(max(reports, key=lambda r: r.fitted_exponent), solution_index=1)
         reached = len(shell_logs[0])
         (rev_logs,) = _march_shells(
-            q, eigenvalue, grid[: SHELL_POINTS * reached + 1][::-1], reached,
-            (ComplexState(1.0, 0.0),), cfg, stepper, early_stop=False,
+            q, eigenvalue, edges[: reached + 1][::-1], (ComplexState(1.0, 0.0),), cfg, stepper,
+            early_stop=False,
         )
         rev_logs.reverse()  # order shells toward the endpoint
         subdominant = TailReport(

@@ -17,6 +17,15 @@ log scale, so the true solution at a grid point is
 exp(log_scale) * (y, y'). The equation is linear, which makes the
 rescaling exact.
 
+Each advance also integrates |y|^2 |dx| over the interval it crosses, as
+a quadrature component appended to the system: the step's contribution
+is h * sum(b_i |y_i|^2) over the stage values y_i with the 5th-order
+weights b_i, so it costs no q evaluation and leaves step control on
+(y, y') alone. The sum is kept in the column's current scale and folded
+into a log-domain total at every rescale, so it never overflows however
+far the column grows or decays. integrate_grid returns one log integral
+per recording interval.
+
 build_grid is the one recording-grid policy. It lays out whole dyadic
 shells of SHELL_POINTS points each: toward a finite target the distance
 to the target halves once per shell, down to cfg.x_min, and toward an
@@ -119,10 +128,12 @@ class SolutionTrace:
 
     Arrays y, dy hold the banded mantissa pair; log_scale holds the
     accumulated logarithmic factors, so exp(log_scale[i]) * y[i] is the
-    true solution value at x[i]. Solutions advanced together carry a
-    trailing column axis in y, dy and log_scale; columns() splits them,
-    and the single-state accessors (state_at, final_state, to_csv) need
-    a single column.
+    true solution value at x[i]. log_square_integrals[i], when present,
+    is the log of the integral of |true y|^2 over [x[i], x[i+1]], taken
+    by the integrator inside its steps. Solutions advanced together carry
+    a trailing column axis in y, dy, log_scale and log_square_integrals;
+    columns() splits them, and the single-state accessors (state_at,
+    final_state, to_csv) need a single column.
     """
 
     eigenvalue: complex
@@ -132,6 +143,7 @@ class SolutionTrace:
     log_scale: np.ndarray
     potential: Potential
     direction: int
+    log_square_integrals: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.x.size
@@ -140,6 +152,7 @@ class SolutionTrace:
         """One single-solution trace per column (the trace itself if it has none)."""
         if self.y.ndim == 1:
             return (self,)
+        integrals = self.log_square_integrals
         return tuple(
             SolutionTrace(
                 self.eigenvalue,
@@ -149,6 +162,7 @@ class SolutionTrace:
                 self.log_scale[:, j],
                 self.potential,
                 self.direction,
+                None if integrals is None else integrals[:, j],
             )
             for j in range(self.y.shape[1])
         )
@@ -233,8 +247,9 @@ class _Stepper:
                 log_scales: Sequence[float]):
         """Integrate the columns (ys, dys, log_scales) from x0 to x1 (either direction).
 
-        Returns new lists (ys, dys, log_scales); each column is rescaled
-        into the band on its own.
+        Returns new lists (ys, dys, log_scales, log_integrals); each
+        column is rescaled into the band on its own, and log_integrals[j]
+        is the log of the integral of |true y_j|^2 |dx| from x0 to x1.
         """
         cfg = self.cfg
         q, l = self.q, self.l
@@ -251,6 +266,10 @@ class _Stepper:
         p1 = self.p
         ys, dys, log_scales = list(ys), list(dys), list(log_scales)
         cols = range(len(ys))
+        # Integral of |y|^2 since the column's last rescale, in its current
+        # scale, and the log of everything before that.
+        sums = [0.0 for _ in cols]
+        log_integrals = [-math.inf for _ in cols]
         if self.h == 0.0:
             self.h = min(span, *(_initial_step(y, dy, p1, span) for y, dy in zip(ys, dys)))
         x = x0
@@ -284,6 +303,7 @@ class _Stepper:
             err2 = 0.0
             ys_new = []
             dys_new = []
+            quads = []
             for j in cols:
                 # Stage i has input (yi, di) and derivative (di, ki) with ki = pi * yi.
                 y = ys[j]
@@ -309,7 +329,11 @@ class _Stepper:
                 k7 = p6 * y7
                 err_y = e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7
                 err_dy = e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-                sc_y = abs_tol + rel_tol * max(abs(y), abs(y7))
+                # 5th-order quadrature of |y|^2 over the step, per unit |h|
+                a1, a3, a4, a5, a6 = abs(y), abs(y3), abs(y4), abs(y5), abs(y6)
+                quads.append(_A71 * a1 * a1 + _A73 * a3 * a3 + _A74 * a4 * a4
+                             + _A75 * a5 * a5 + _A76 * a6 * a6)
+                sc_y = abs_tol + rel_tol * max(a1, abs(y7))
                 sc_dy = abs_tol + rel_tol * max(abs(d1), abs(d7))
                 col_err2 = (abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2
                 if not col_err2 <= err2:  # also propagates NaN
@@ -325,10 +349,13 @@ class _Stepper:
                 self.p = p1 = p6
                 for j in cols:
                     y, dy = ys_new[j], dys_new[j]
+                    sums[j] += h * quads[j]
                     s = abs(y) + abs(dy)
                     if s == 0.0 or not math.isfinite(s):
                         raise NonFiniteError(f"solution state degenerate at x={x}")
                     if s > band or s < inv_band:
+                        log_integrals[j] = _fold(log_integrals[j], sums[j], log_scales[j])
+                        sums[j] = 0.0
                         y /= s
                         dy /= s
                         log_scales[j] += math.log(s)
@@ -341,10 +368,21 @@ class _Stepper:
                 self.err_prev = max(err, 1e-10)
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 if final:
-                    return ys, dys, log_scales
+                    for j in cols:
+                        log_integrals[j] = _fold(log_integrals[j], sums[j], log_scales[j])
+                    return ys, dys, log_scales, log_integrals
             else:
                 factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
                 self.h = h * factor
+
+
+def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:
+    """log(exp(log_total) + scaled_sum * exp(2 * log_scale)) without overflow."""
+    if scaled_sum <= 0.0:
+        return log_total
+    term = math.log(scaled_sum) + 2.0 * log_scale
+    hi, lo = (log_total, term) if log_total > term else (term, log_total)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
@@ -452,15 +490,19 @@ def integrate_grid(
     ]
     ys, dys, lss = (list(c) for c in zip(*columns))
     rows = [(ys, dys, lss)]
+    integral_rows = []
     stepper = _stepper or _Stepper(q, l, cfg)
     points = grid.tolist()
     for x0, x1 in zip(points, points[1:]):
-        ys, dys, lss = stepper.advance(x0, x1, ys, dys, lss)
+        ys, dys, lss, integrals = stepper.advance(x0, x1, ys, dys, lss)
         rows.append((ys, dys, lss))
+        integral_rows.append(integrals)
     y_rows, dy_rows, ls_rows = zip(*rows)
     y, dy, log_scale = (np.array(r) for r in (y_rows, dy_rows, ls_rows))
+    log_square_integrals = np.array(integral_rows)
     if single:
         y, dy, log_scale = y[:, 0], dy[:, 0], log_scale[:, 0]
+        log_square_integrals = log_square_integrals[:, 0]
     return SolutionTrace(
         eigenvalue=l,
         x=grid,
@@ -469,6 +511,7 @@ def integrate_grid(
         log_scale=log_scale,
         potential=q,
         direction=1 if grid[-1] > grid[0] else -1,
+        log_square_integrals=log_square_integrals,
     )
 
 
@@ -509,6 +552,7 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
         ys.append(cur.y[1:])
         dys.append(cur.dy[1:])
         lss.append(cur.log_scale[1:])
+    integrals = [t.log_square_integrals for t in traces]
     return SolutionTrace(
         eigenvalue=head.eigenvalue,
         x=np.concatenate(xs),
@@ -517,6 +561,9 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
         log_scale=np.concatenate(lss),
         potential=head.potential,
         direction=head.direction,
+        log_square_integrals=(
+            None if any(v is None for v in integrals) else np.concatenate(integrals)
+        ),
     )
 
 

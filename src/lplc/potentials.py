@@ -12,6 +12,7 @@ reads.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -143,7 +144,10 @@ class Sum(Potential):
         object.__setattr__(self, "terms", terms)
 
     def _raw(self, x: float) -> float:
-        return sum(t._raw(x) for t in self.terms)
+        total = 0.0
+        for t in self.terms:
+            total += t._raw(x)
+        return total
 
     def origin_coefficient(self) -> Optional[float]:
         total = 0.0
@@ -178,13 +182,24 @@ class Tabulated(Potential):
             raise ValueError("tabulated data must be finite")
         object.__setattr__(self, "x", xa)
         object.__setattr__(self, "q", qa)
+        # Plain lists for the scalar lookup in _raw.
+        object.__setattr__(self, "_xs", xa.tolist())
+        object.__setattr__(self, "_qs", qa.tolist())
 
     def _raw(self, x: float) -> float:
-        if x < self.x[0] or x > self.x[-1]:
+        xs, qs = self._xs, self._qs
+        if not xs[0] <= x <= xs[-1]:
+            if x != x:
+                return x  # NaN, which evaluate() reports as not finite
             raise OutOfRangeError(
-                f"x={x} outside tabulated range [{self.x[0]}, {self.x[-1]}]"
+                f"x={x} outside tabulated range [{xs[0]}, {xs[-1]}]"
             )
-        return float(np.interp(x, self.x, self.q))
+        j = bisect.bisect_right(xs, x) - 1
+        if j == len(xs) - 1 or xs[j] == x:
+            return qs[j]
+        # np.interp's own formula, so results match it bit for bit
+        slope = (qs[j + 1] - qs[j]) / (xs[j + 1] - xs[j])
+        return slope * (x - xs[j]) + qs[j]
 
     def origin_coefficient(self) -> Optional[float]:
         return None  # no trustworthy limit from finite samples

@@ -193,7 +193,7 @@ class TestNumericEngine:
         assert len(forward) >= 4 and len(reverse) == len(forward)
         shells = build_grid(Zero(), 1.0, math.inf, CFG)
         for k, (f, r) in enumerate(zip(forward, reversed(reverse))):
-            assert np.array_equal(f, shells[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1])
+            assert np.array_equal(f, shells[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1 : SHELL_POINTS])
             assert np.array_equal(r, f[::-1])
 
     @pytest.mark.xfail(

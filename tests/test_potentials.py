@@ -100,6 +100,18 @@ class TestEvaluate:
         with pytest.raises(OutOfRangeError):
             evaluate(q, 3.5)
 
+    def test_tabulated_matches_np_interp_exactly(self):
+        rng = np.random.default_rng(7)
+        xs = np.cumsum(rng.uniform(0.01, 1.0, 50)) - 3.0
+        qs = rng.normal(0.0, 10.0, 50)
+        q = Tabulated(xs, qs)
+        points = np.concatenate((rng.uniform(xs[0], xs[-1], 2000), xs, [xs[0], xs[-1]]))
+        for x in points.tolist():
+            assert evaluate(q, x) == float(np.interp(x, xs, qs)), x
+        for x in (np.nextafter(xs[0], -np.inf), np.nextafter(xs[-1], np.inf), -1e300, 1e300):
+            with pytest.raises(OutOfRangeError):
+                evaluate(q, float(x))
+
     def test_non_finite(self):
         with pytest.raises(NonFiniteError):
             evaluate(Coulomb(1.0), 0.0)
