@@ -42,18 +42,13 @@ from .errors import (
     InconclusiveInputError,
     InsufficientTailError,
 )
-from .odeint import (  # noqa: F401  (concatenate_traces is kept here for perfbench/tracer.py)
-    SHELL_POINTS,
-    ComplexState,
-    IntegratorConfig,
-    SolutionTrace,
-    _Stepper,
-    build_grid,
-    concatenate_traces,
-    integrate_grid,
-)
-from .potentials import EffectiveProblem, Mirrored, Potential, evaluate
-from .quadrature import log_trapezoid
+from .odeint import SHELL_POINTS, ComplexState, IntegratorConfig, _Stepper, build_grid
+from .potentials import EffectiveProblem, Mirrored, Potential
+
+# perfbench/tracer.py wraps these three by module attribute, so
+# _march_shells calls integrate_grid through this module.
+from .odeint import concatenate_traces, integrate_grid  # noqa: F401
+from .quadrature import log_trapezoid  # noqa: F401
 
 ORIGIN_LP_THRESHOLD = 0.75  # limit point at 0 iff x^2 q(x) -> value >= 3/4
 
@@ -105,27 +100,28 @@ class Endpoint:
 class TailReport:
     """Square-integrability evidence for one solution near one endpoint.
 
-    shell_integrals[k] holds the integral of |y|^2 over the k-th dyadic
-    shell, ordered toward the endpoint; values may overflow to inf, so
-    the least-squares fit of the shell decay uses log_shell_integrals.
+    log_shell_integrals[k] holds the log of the integral of |y|^2 over
+    the k-th dyadic shell, ordered toward the endpoint; shell_integrals
+    gives the values themselves, which may overflow to inf.
     fitted_exponent is the slope of log I_k against k; the per-shell
     ratio is its exponential. The verdict carries a guard band of width
     `margin` around ratio 1.
     """
 
-    shell_integrals: Tuple[float, ...]
     log_shell_integrals: Tuple[float, ...]
     fitted_exponent: float
     margin: float
     solution_index: int
 
     def __post_init__(self):
-        if len(self.shell_integrals) < 4:
+        if len(self.log_shell_integrals) < 4:
             raise InsufficientTailError("need at least 4 dyadic shells")
-        if any(v < 0 for v in self.shell_integrals):
-            raise ValueError("shell integrals must be non-negative")
         if self.solution_index not in (1, 2):
             raise ValueError("solution_index must be 1 or 2")
+
+    @property
+    def shell_integrals(self) -> Tuple[float, ...]:
+        return tuple(_safe_exp(v) for v in self.log_shell_integrals)
 
     @property
     def fitted_ratio(self) -> float:
@@ -192,76 +188,6 @@ class SelfAdjointness:
         return "needs_boundary_conditions"
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Shell evidence for the convergence of the integral of |q|^2."""
-
-    regular: bool
-    finite_endpoint: bool
-    shell_integrals: Tuple[float, ...]
-    fitted_exponent: float
-    margin: float
-
-    def __bool__(self) -> bool:
-        return self.regular
-
-
-def dyadic_shell_log_integrals(
-    x: np.ndarray,
-    log_v: np.ndarray,
-    *,
-    toward: float,
-    max_shells: int = 64,
-) -> List[float]:
-    """Log of the integrals of exp(log_v) over dyadic shells toward an endpoint.
-
-    Shells are measured in distance from a finite endpoint position, or
-    in |x| itself when `toward` is infinite; shell k spans one factor of
-    two, ordered so that increasing k approaches the endpoint. Shell
-    boundaries falling between samples are filled in by interpolating
-    log_v linearly (exact for exponentials and powers).
-    """
-    x = np.asarray(x, dtype=float)
-    log_v = np.asarray(log_v, dtype=float)
-    if math.isinf(toward):
-        coord = np.abs(x)
-    else:
-        coord = np.abs(toward - x)
-    order = np.argsort(coord)
-    coord = coord[order]
-    vals = log_v[order]
-    c_lo = coord[0]
-    c_hi = coord[-1]
-    if c_lo <= 0.0 or c_hi <= 0.0:
-        raise ValueError("samples must keep a positive distance from the endpoint")
-    n_shells = min(max_shells, int(math.floor(math.log2(c_hi / c_lo) + 1e-9)))
-    if n_shells < 1:
-        raise InsufficientTailError("samples span less than one dyadic shell")
-    out: List[float] = []
-    for k in range(n_shells):
-        if math.isinf(toward):
-            lo, hi = c_lo * 2.0**k, c_lo * 2.0 ** (k + 1)
-        else:
-            hi, lo = c_hi * 2.0**-k, c_hi * 2.0 ** -(k + 1)
-        xs, ls = _clip_samples(coord, vals, lo, hi)
-        out.append(log_trapezoid(ls, xs))
-    return out
-
-
-def _clip_samples(coord, vals, lo, hi):
-    """Samples inside [lo, hi] with interpolated boundary values."""
-    inside = (coord >= lo) & (coord <= hi)
-    xs = coord[inside].tolist()
-    ls = vals[inside].tolist()
-    if not xs or xs[0] > lo * (1 + 1e-12):
-        ls.insert(0, float(np.interp(lo, coord, vals)))
-        xs.insert(0, lo)
-    if xs[-1] < hi * (1 - 1e-12):
-        ls.append(float(np.interp(hi, coord, vals)))
-        xs.append(hi)
-    return np.asarray(xs), np.asarray(ls)
-
-
 def fit_shell_exponent(log_integrals: Sequence[float], fit_window: int = DEFAULT_FIT_WINDOW) -> float:
     """Least-squares slope of log I_k against k over the last `fit_window` shells."""
     logs = np.asarray(log_integrals, dtype=float)
@@ -276,34 +202,6 @@ def fit_shell_exponent(log_integrals: Sequence[float], fit_window: int = DEFAULT
     k = np.arange(tail.size, dtype=float)
     slope = np.polyfit(k, tail, 1)[0]
     return float(slope)
-
-
-def square_integrable_tail(
-    trace: SolutionTrace,
-    endpoint: Endpoint,
-    *,
-    margin: float = DEFAULT_MARGIN,
-    fit_window: int = DEFAULT_FIT_WINDOW,
-    solution_index: int = 1,
-) -> TailReport:
-    """Dyadic-shell report on the integral of |y|^2 toward the endpoint.
-
-    Shell integrals are accumulated in the log domain (the trace may be
-    rescaled by thousands of orders of magnitude), and the decay rate is
-    the least-squares slope of log I_k versus the shell index.
-    """
-    log_v = 2.0 * trace.log_abs_y()
-    logs = dyadic_shell_log_integrals(trace.x, log_v, toward=endpoint.position)
-    if len(logs) < 4:
-        raise InsufficientTailError("trace spans fewer than 4 dyadic shells")
-    slope = fit_shell_exponent(logs, fit_window)
-    return TailReport(
-        shell_integrals=tuple(_safe_exp(v) for v in logs),
-        log_shell_integrals=tuple(logs),
-        fitted_exponent=slope,
-        margin=margin,
-        solution_index=solution_index,
-    )
 
 
 def _safe_exp(v: float) -> float:
@@ -324,45 +222,6 @@ def band_status(ratio: float, margin: float) -> str:
     if ratio > 1.0 + margin:
         return "divergent"
     return "inconclusive"
-
-
-def is_regular_endpoint(
-    q: Potential,
-    endpoint: Endpoint,
-    probe: float,
-    *,
-    margin: float = DEFAULT_MARGIN,
-    max_shells: int = DEFAULT_MAX_SHELLS,
-    samples_per_shell: int = 33,
-) -> RegularityReport:
-    """Whether the endpoint is finite with a square-integrable potential.
-
-    The integral of |q|^2 over dyadic shells between the probe point and
-    the endpoint must decay geometrically (fitted per-shell ratio below
-    1 - margin). A regular endpoint is always limit circle.
-    """
-    if endpoint.is_infinite:
-        return RegularityReport(False, False, (), math.nan, margin)
-    e = endpoint.position
-    distance = abs(probe - e)
-    if distance == 0.0:
-        raise ValueError("probe must differ from the endpoint")
-    sign = 1.0 if probe > e else -1.0
-    logs: List[float] = []
-    for k in range(max_shells):
-        hi = distance * 2.0**-k
-        lo = hi / 2.0
-        d = np.geomspace(lo, hi, samples_per_shell)
-        vals = np.asarray([evaluate(q, e + sign * t) for t in d])
-        with np.errstate(divide="ignore"):
-            log_v = 2.0 * np.log(np.abs(vals))
-        logs.append(log_trapezoid(log_v, d))
-    integrals = tuple(_safe_exp(v) for v in logs)
-    if all(v <= _ZERO_FLOOR for v in logs):
-        return RegularityReport(True, True, integrals, -math.inf, margin)
-    slope = fit_shell_exponent(logs)
-    regular = band_status(_safe_exp(slope), margin) == "convergent"
-    return RegularityReport(regular, True, integrals, slope, margin)
 
 
 def classify_asymptotic(problem: EffectiveProblem) -> EndpointClass:
@@ -465,13 +324,7 @@ def classify_numeric(
     pair = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
     shell_logs = _march_shells(q, eigenvalue, edges, pair, cfg, stepper, early_stop=True)
     reports = [
-        TailReport(
-            shell_integrals=tuple(_safe_exp(v) for v in logs),
-            log_shell_integrals=tuple(logs),
-            fitted_exponent=fit_shell_exponent(logs, fit_window),
-            margin=margin,
-            solution_index=index,
-        )
+        _tail_report(logs, index, margin, fit_window)
         for index, logs in enumerate(shell_logs, start=1)
     ]
     if endpoint.is_infinite:
@@ -487,15 +340,17 @@ def classify_numeric(
             early_stop=False,
         )
         rev_logs.reverse()  # order shells toward the endpoint
-        subdominant = TailReport(
-            shell_integrals=tuple(_safe_exp(v) for v in rev_logs),
-            log_shell_integrals=tuple(rev_logs),
-            fitted_exponent=fit_shell_exponent(rev_logs, fit_window),
-            margin=margin,
-            solution_index=2,
-        )
-        reports = [dominant, subdominant]
+        reports = [dominant, _tail_report(rev_logs, 2, margin, fit_window)]
     return _compose_endpoint_class(reports)
+
+
+def _tail_report(logs: Sequence[float], index: int, margin: float, fit_window: int) -> TailReport:
+    return TailReport(
+        log_shell_integrals=tuple(logs),
+        fitted_exponent=fit_shell_exponent(logs, fit_window),
+        margin=margin,
+        solution_index=index,
+    )
 
 
 def _compose_endpoint_class(reports: List[TailReport]) -> EndpointClass:
@@ -590,7 +445,9 @@ def classify_interval(
     engine="asymptotic" uses the exact origin rule only (available just
     for a left endpoint at 0); engine="numeric" integrates at both ends;
     engine="both" (default) prefers the exact rule where it applies and
-    falls back to the numeric engine elsewhere.
+    falls back to the numeric engine elsewhere. The anchors the numeric
+    engine integrates from (default_anchor unless given) must lie
+    strictly inside (a, b).
     """
     if engine not in ("both", "asymptotic", "numeric"):
         raise ValueError("engine must be 'both', 'asymptotic' or 'numeric'")
@@ -601,6 +458,9 @@ def classify_interval(
     else:
         problem = EffectiveProblem(n=3, l=0, base=q, rho=0.0, q_eff=q)
     anchor_left, anchor_right = anchors or default_anchor(a, b)
+    for anchor in (anchor_left, anchor_right):
+        if not a < anchor < b:
+            raise ValueError(f"anchor {anchor!r} must lie strictly inside ({a!r}, {b!r})")
     left_ep = Endpoint(a, "left")
     right_ep = Endpoint(b, "right")
 

@@ -37,11 +37,11 @@ EXIT_INCONCLUSIVE = 2
 
 
 def _parse_bound(value, name: str) -> float:
-    if isinstance(value, str):
-        if value == "inf":
-            return math.inf
-        if value == "-inf":
-            return -math.inf
+    if value == "inf":
+        return math.inf
+    if value == "-inf":
+        return -math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"interval bound {name} must be a number, 'inf' or '-inf'")
     return float(value)
 
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--engine", choices=["both", "asymptotic", "numeric"], help="override the engine named in the problem file"
     )
-    p_classify.add_argument("--output", choices=["json"], default="json")
     p_classify.set_defaults(func=cmd_classify)
 
     p_ext = sub.add_parser("extensions", help="boundary conditions of the extension family")

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -132,8 +132,7 @@ class SolutionTrace:
     is the log of the integral of |true y|^2 over [x[i], x[i+1]], taken
     by the integrator inside its steps. Solutions advanced together carry
     a trailing column axis in y, dy, log_scale and log_square_integrals;
-    columns() splits them, and the single-state accessors (state_at,
-    final_state, to_csv) need a single column.
+    columns() splits them, and final_state needs a single column.
     """
 
     eigenvalue: complex
@@ -167,17 +166,6 @@ class SolutionTrace:
             for j in range(self.y.shape[1])
         )
 
-    def index_of(self, x: float) -> int:
-        tol = 4.0 * _EPS * max(1.0, abs(x))
-        idx = np.nonzero(np.abs(self.x - x) <= tol)[0]
-        if idx.size == 0:
-            raise GridMismatchError(f"x={x} is not a grid point of this trace")
-        return int(idx[0])
-
-    def state_at(self, x: float) -> ComplexState:
-        i = self.index_of(x)
-        return ComplexState(complex(self.y[i]), complex(self.dy[i]), float(self.log_scale[i]))
-
     @property
     def final_state(self) -> ComplexState:
         return ComplexState(complex(self.y[-1]), complex(self.dy[-1]), float(self.log_scale[-1]))
@@ -188,28 +176,6 @@ class SolutionTrace:
 
     def derivative_values(self) -> np.ndarray:
         return self.dy * np.exp(self.log_scale)
-
-    def log_abs_y(self) -> np.ndarray:
-        """log |true y|, finite even when values() would overflow."""
-        with np.errstate(divide="ignore"):
-            return self.log_scale + np.log(np.abs(self.y))
-
-    def to_csv(self, destination: Union[str, IO[str]]) -> None:
-        """Write columns x, Re y, Im y, Re dy, Im dy, log_scale."""
-        close = False
-        if isinstance(destination, str):
-            destination = open(destination, "w", encoding="utf-8")
-            close = True
-        try:
-            destination.write("x,re_y,im_y,re_dy,im_dy,log_scale\n")
-            for i in range(self.x.size):
-                destination.write(
-                    f"{float(self.x[i])!r},{float(self.y[i].real)!r},{float(self.y[i].imag)!r},"
-                    f"{float(self.dy[i].real)!r},{float(self.dy[i].imag)!r},{float(self.log_scale[i])!r}\n"
-                )
-        finally:
-            if close:
-                destination.close()
 
 
 def _normalized(y: complex, dy: complex, log_scale: float, band: float) -> Tuple[complex, complex, float]:
@@ -565,16 +531,6 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
             None if any(v is None for v in integrals) else np.concatenate(integrals)
         ),
     )
-
-
-def wronskian(t1: SolutionTrace, t2: SolutionTrace, x: float) -> complex:
-    """W(x) = (y1 y2' - y1' y2)(x) including both rescale factors."""
-    if t1.eigenvalue != t2.eigenvalue:
-        raise ValueError("traces have different eigenvalues")
-    i = t1.index_of(x)
-    j = t2.index_of(x)
-    mantissa = t1.y[i] * t2.dy[j] - t1.dy[i] * t2.y[j]
-    return complex(mantissa * math.exp(t1.log_scale[i] + t2.log_scale[j]))
 
 
 def wronskian_values(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:

@@ -252,29 +252,46 @@ def evaluate(q: Potential, x: float) -> float:
     return value
 
 
-_DECODERS = {
-    "zero": lambda d: Zero(),
-    "inverse_square": lambda d: InverseSquare(c=float(d["c"])),
-    "coulomb": lambda d: Coulomb(z=float(d["z"])),
-    "power_law": lambda d: PowerLaw(c=float(d["c"]), p=float(d["p"])),
-    "harmonic": lambda d: Harmonic(k=float(d["k"])),
-    "sum": lambda d: Sum([from_dict(t) for t in d["terms"]]),
-    "tabulated": lambda d: Tabulated(d["x"], d["q"]),
-    "mirrored": lambda d: Mirrored(from_dict(d["base"])),
-}
-
-
 def from_dict(data: dict) -> Potential:
-    """Decode the canonical JSON form, e.g. {"type": "inverse_square", "c": 0.75}."""
+    """Decode the canonical JSON form, e.g. {"type": "inverse_square", "c": 0.75}.
+
+    A missing or malformed field raises ValueError naming the type and
+    the field.
+    """
     try:
         kind = data["type"]
     except (TypeError, KeyError):
         raise ValueError("potential object needs a 'type' field") from None
     try:
-        decoder = _DECODERS[kind]
-    except KeyError:
+        build, fields = _DECODERS[kind]
+    except (TypeError, KeyError):
         raise ValueError(f"unknown potential type {kind!r}") from None
-    return decoder(data)
+    kwargs = {}
+    for name, decode in fields.items():
+        if name not in data:
+            raise ValueError(f"potential {kind!r} needs a {name!r} field")
+        try:
+            kwargs[name] = decode(data[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"potential {kind!r} has a malformed {name!r} field: {exc}") from None
+    return build(**kwargs)
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# type -> (constructor, {field: decoder of the field's JSON value})
+_DECODERS = {
+    "zero": (Zero, {}),
+    "inverse_square": (InverseSquare, {"c": float}),
+    "coulomb": (Coulomb, {"z": float}),
+    "power_law": (PowerLaw, {"c": float, "p": float}),
+    "harmonic": (Harmonic, {"k": float}),
+    "sum": (Sum, {"terms": lambda terms: [from_dict(t) for t in terms]}),
+    "tabulated": (Tabulated, {"x": _float_array, "q": _float_array}),
+    "mirrored": (Mirrored, {"base": from_dict}),
+}
 
 
 def loads(text: str) -> Potential:

@@ -15,25 +15,20 @@ an h^2 error model. All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import (
-    DEFAULT_MARGIN,
-    _safe_exp,
-    band_status,
-    dyadic_shell_log_integrals,
-    fit_shell_exponent,
-)
+from .classify import DEFAULT_MARGIN, _safe_exp, band_status, fit_shell_exponent
 from .errors import (
     BumpNotInteriorError,
     InsufficientTailError,
     MissingDerivativeError,
     OutOfRangeError,
 )
-from .quadrature import cumulative_trapezoid, trapezoid
+from .quadrature import cumulative_trapezoid, log_trapezoid, trapezoid
 
 _EPS = float(np.finfo(float).eps)
 
@@ -160,6 +155,62 @@ def antiderivative_samples(g: SampledFunction, y0: float) -> SampledFunction:
     return SampledFunction(
         grid=g.grid, values=cum - cum[i], derivative_values=g.values
     )
+
+
+def dyadic_shell_log_integrals(
+    x: np.ndarray,
+    log_v: np.ndarray,
+    *,
+    toward: float,
+    max_shells: int = 64,
+) -> List[float]:
+    """Log of the integrals of exp(log_v) over dyadic shells toward an endpoint.
+
+    Shells are measured in distance from a finite endpoint position, or
+    in |x| itself when `toward` is infinite; shell k spans one factor of
+    two, ordered so that increasing k approaches the endpoint. Shell
+    boundaries falling between samples are filled in by interpolating
+    log_v linearly (exact for exponentials and powers).
+    """
+    x = np.asarray(x, dtype=float)
+    log_v = np.asarray(log_v, dtype=float)
+    if math.isinf(toward):
+        coord = np.abs(x)
+    else:
+        coord = np.abs(toward - x)
+    order = np.argsort(coord)
+    coord = coord[order]
+    vals = log_v[order]
+    c_lo = coord[0]
+    c_hi = coord[-1]
+    if c_lo <= 0.0 or c_hi <= 0.0:
+        raise ValueError("samples must keep a positive distance from the endpoint")
+    n_shells = min(max_shells, int(math.floor(math.log2(c_hi / c_lo) + 1e-9)))
+    if n_shells < 1:
+        raise InsufficientTailError("samples span less than one dyadic shell")
+    out: List[float] = []
+    for k in range(n_shells):
+        if math.isinf(toward):
+            lo, hi = c_lo * 2.0**k, c_lo * 2.0 ** (k + 1)
+        else:
+            hi, lo = c_hi * 2.0**-k, c_hi * 2.0 ** -(k + 1)
+        xs, ls = _clip_samples(coord, vals, lo, hi)
+        out.append(log_trapezoid(ls, xs))
+    return out
+
+
+def _clip_samples(coord, vals, lo, hi):
+    """Samples inside [lo, hi] with interpolated boundary values."""
+    inside = (coord >= lo) & (coord <= hi)
+    xs = coord[inside].tolist()
+    ls = vals[inside].tolist()
+    if not xs or xs[0] > lo * (1 + 1e-12):
+        ls.insert(0, float(np.interp(lo, coord, vals)))
+        xs.insert(0, lo)
+    if xs[-1] < hi * (1 - 1e-12):
+        ls.append(float(np.interp(hi, coord, vals)))
+        xs.append(hi)
+    return np.asarray(xs), np.asarray(ls)
 
 
 _INTEGRAND_NAMES = ("|f|", "|f'|", "|f''|")

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from lplc.classify import (
+    DEFAULT_MARGIN,
     ClassificationReport,
     DeficiencyIndices,
     Endpoint,
     EndpointClass,
     EndpointVerdict,
     Engine,
+    TailReport,
+    _safe_exp,
+    band_status,
     classify_asymptotic,
     classify_interval,
     classify_numeric,
     deficiency_indices,
-    is_regular_endpoint,
-    square_integrable_tail,
+    fit_shell_exponent,
     verdict,
 )
 from lplc.errors import (
@@ -24,7 +27,7 @@ from lplc.errors import (
     InsufficientTailError,
     MaxStepsExceededError,
 )
-from lplc.odeint import SHELL_POINTS, IntegratorConfig, SolutionTrace, build_grid
+from lplc.odeint import SHELL_POINTS, IntegratorConfig, build_grid
 from lplc.potentials import (
     Coulomb,
     Harmonic,
@@ -34,6 +37,7 @@ from lplc.potentials import (
     Zero,
     effective_potential,
 )
+from lplc.sobolev import dyadic_shell_log_integrals
 
 CFG = IntegratorConfig()
 ORIGIN = Endpoint(0.0, "left")
@@ -44,75 +48,62 @@ LC = EndpointVerdict.LIMIT_CIRCLE
 INC = EndpointVerdict.INCONCLUSIVE
 
 
-def synthetic_trace(fn, grid):
-    """A fake trace holding exact samples of a real function (log_scale 0)."""
-    grid = np.asarray(grid, dtype=float)
-    return SolutionTrace(
-        eigenvalue=1j,
-        x=grid,
-        y=np.asarray([fn(t) for t in grid], dtype=complex),
-        dy=np.zeros(grid.size, dtype=complex),
-        log_scale=np.zeros(grid.size),
-        potential=Zero(),
-        direction=-1,
-    )
-
-
 def shells_grid(n_shells=12, per_shell=16):
     return np.geomspace(1.0, 2.0**-n_shells, n_shells * per_shell + 1)
 
 
+def origin_tail(fn, grid):
+    """Shell logs, fitted ratio and band status of |fn|^2 sampled toward 0."""
+    log_v = 2.0 * np.log(np.abs([fn(t) for t in grid]))
+    logs = dyadic_shell_log_integrals(grid, log_v, toward=0.0)
+    ratio = math.exp(fit_shell_exponent(logs))
+    return logs, ratio, band_status(ratio, DEFAULT_MARGIN)
+
+
 class TestSquareIntegrableTail:
+    """The shell rule on exact samples: closed-form shell integrals toward 0."""
+
     def test_linear_solution_ratio_one_eighth(self):
         # oracle: integral of x^2 over [2^-k-1, 2^-k] is (1 - 1/8)/3 * 8^-k,
         # so consecutive shells shrink by exactly 2^-3
-        report = square_integrable_tail(synthetic_trace(lambda x: x, shells_grid()), ORIGIN)
+        logs, ratio, status = origin_tail(lambda x: x, shells_grid())
         exact = [(1.0 - 0.125) / 3.0 * 8.0**-k for k in range(12)]
-        got = report.shell_integrals
-        assert len(got) == 12
-        for g, e in zip(got, exact):
-            assert g == pytest.approx(e, rel=2e-3)
-        assert report.fitted_ratio == pytest.approx(0.125, rel=1e-3)
-        assert report.convergent and not report.divergent
+        assert len(logs) == 12
+        for g, e in zip(logs, exact):
+            assert math.exp(g) == pytest.approx(e, rel=2e-3)
+        assert ratio == pytest.approx(0.125, rel=1e-3)
+        assert status == "convergent"
 
     def test_inverse_solution_doubles(self):
         # oracle: integral of x^-2 over shells doubles toward the origin
-        report = square_integrable_tail(synthetic_trace(lambda x: 1.0 / x, shells_grid()), ORIGIN)
-        assert report.fitted_ratio == pytest.approx(2.0, rel=1e-3)
-        assert report.divergent
+        _, ratio, status = origin_tail(lambda x: 1.0 / x, shells_grid())
+        assert ratio == pytest.approx(2.0, rel=1e-3)
+        assert status == "divergent"
 
     def test_borderline_is_inconclusive(self):
         # |y|^2 = 1/x gives the log-divergent boundary case: every shell
         # integral equals log 2, ratio 1, inside the guard band
-        report = square_integrable_tail(
-            synthetic_trace(lambda x: x**-0.5, shells_grid()), ORIGIN
-        )
-        assert report.fitted_ratio == pytest.approx(1.0, abs=5e-3)
-        assert report.inconclusive
+        _, ratio, status = origin_tail(lambda x: x**-0.5, shells_grid())
+        assert ratio == pytest.approx(1.0, abs=5e-3)
+        assert status == "inconclusive"
 
     def test_insufficient_tail(self):
-        grid = np.geomspace(1.0, 0.2, 30)  # spans barely 2 shells
+        grid = np.geomspace(1.0, 0.6, 30)  # spans less than one shell
         with pytest.raises(InsufficientTailError):
-            square_integrable_tail(synthetic_trace(lambda x: x, grid), ORIGIN)
+            origin_tail(lambda x: x, grid)
 
 
-class TestRegularEndpoint:
-    def test_zero_potential_regular(self):
-        assert bool(is_regular_endpoint(Zero(), ORIGIN, 1.0)) is True
+class TestTailReport:
+    def test_shell_integrals_derive_from_the_logs(self):
+        logs = (-3.0, 0.0, 709.0, 709.8, 800.0)
+        report = TailReport(log_shell_integrals=logs, fitted_exponent=1.0, margin=DEFAULT_MARGIN, solution_index=1)
+        assert report.shell_integrals == tuple(_safe_exp(v) for v in logs)
+        assert math.isfinite(report.shell_integrals[2])
+        assert report.shell_integrals[3:] == (math.inf, math.inf)  # beyond float range
 
-    def test_coulomb_not_regular(self):
-        # oracle: integral of x^-2 diverges at 0; shells grow by 2
-        report = is_regular_endpoint(Coulomb(1.0), ORIGIN, 1.0)
-        assert bool(report) is False
-        assert math.exp(report.fitted_exponent) == pytest.approx(2.0, rel=1e-2)
-
-    def test_mild_singularity_regular(self):
-        # oracle: integral of x^-1/2 converges (antiderivative 2 sqrt x)
-        report = is_regular_endpoint(PowerLaw(1.0, -0.25), ORIGIN, 1.0)
-        assert bool(report) is True
-
-    def test_infinite_endpoint_never_regular(self):
-        assert bool(is_regular_endpoint(Zero(), PLUS_INF, 1.0)) is False
+    def test_fewer_than_four_shells_rejected(self):
+        with pytest.raises(InsufficientTailError):
+            TailReport(log_shell_integrals=(0.0, 1.0, 2.0), fitted_exponent=1.0, margin=DEFAULT_MARGIN, solution_index=1)
 
 
 class TestAsymptoticEngine:
@@ -281,7 +272,6 @@ class TestEngineCrossValidation:
             (Zero(), Endpoint(1.0, "right"), 0.5),
         ]
         for q, ep, anchor in cases:
-            assert bool(is_regular_endpoint(q, ep, anchor)) is True
             assert classify_numeric(q, ep, anchor, CFG).verdict is LC
 
     def test_anchor_independence(self):
@@ -324,6 +314,13 @@ class TestClassifyInterval:
     def test_asymptotic_engine_errors_off_origin(self):
         with pytest.raises(AsymptoticsUnavailableError):
             classify_interval(Zero(), 1.0, math.inf, engine="asymptotic")
+
+    @pytest.mark.parametrize("anchors", [(-1.0, 0.5), (0.5, 1.0), (0.5, 2.0), (0.0, 0.5), (math.nan, 0.5)])
+    def test_anchor_outside_the_interval_rejected(self, anchors):
+        # an anchor at -1 would integrate the 0- side, where q = -|x|^-3,
+        # and read LC at the left end, which is LP
+        with pytest.raises(ValueError, match="strictly inside"):
+            classify_interval(PowerLaw(1.0, -3.0), 0.0, 1.0, engine="numeric", anchors=anchors)
 
     def test_matches_deficiency_space_dimension(self):
         # the half-line free operator has one-dimensional deficiency spaces

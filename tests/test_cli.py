@@ -93,6 +93,42 @@ class TestClassifyCommand:
         assert code == 1
         assert "interval" in err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"potential": {"type": "inverse_square"}},
+            {"potential": {"type": "sum", "terms": 5}},
+            {"potential": {"type": "sum", "terms": [5]}},
+            {"potential": {"type": "tabulated", "x": [{}, 1, 2, 3], "q": [0, 0, 0, 0]}},
+            {"potential": {"type": ["zero"]}},
+            {"interval": {"a": None, "b": "inf"}},
+            {"interval": {"a": 0, "b": [1]}},
+            {"interval": {"a": 0, "b": True}},
+        ],
+        ids=["missing-field", "terms-not-a-list", "term-not-an-object", "table-not-numbers",
+             "type-not-a-string", "null-bound", "list-bound", "boolean-bound"],
+    )
+    def test_malformed_problem_exit_one(self, capsys, tmp_path, change):
+        path = write_spec(tmp_path, dict(FREE_HALF_LINE, **change))
+        code, out, err = run(capsys, ["classify", "--input", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lplc: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, anchor", [("anchor_left", -1.0), ("anchor_right", 1.0), ("anchor_right", 2.0)])
+    def test_anchor_outside_interval_exit_one(self, capsys, tmp_path, key, anchor):
+        spec = {
+            "interval": {"a": 0, "b": 1},
+            "potential": {"type": "power_law", "c": 1.0, "p": -3.0},
+            "engine": "numeric",
+            "config": {key: anchor},
+        }
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lplc: error:") and "strictly inside" in err
+
     def test_geometric_ratio_is_not_a_config_key(self, capsys, tmp_path):
         path = write_spec(tmp_path, dict(FREE_HALF_LINE, config={"geometric_ratio": 0.5}))
         code, out, err = run(capsys, ["classify", "--input", path])
