@@ -35,8 +35,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     AsymptoticsUnavailableError,
     InconclusiveInputError,
@@ -190,6 +188,8 @@ class SelfAdjointness:
 
 def fit_shell_exponent(log_integrals: Sequence[float], fit_window: int = DEFAULT_FIT_WINDOW) -> float:
     """Least-squares slope of log I_k against k over the last `fit_window` shells."""
+    import numpy as np
+
     logs = np.asarray(log_integrals, dtype=float)
     if logs.size < 2:
         raise InsufficientTailError("need at least two shells to fit")

@@ -21,15 +21,16 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
-
-from . import classify as _classify
-from . import extensions as _ext
-from . import potentials as _pot
 from .errors import LplcError
-from .odeint import IntegratorConfig
+
+if TYPE_CHECKING:
+    from .classify import ClassificationReport, EndpointClass, TailReport
+    from .odeint import IntegratorConfig
+
+# The subcommands import the modules they use themselves, so a run loads
+# only those (and numpy only when a numeric march or an array needs it).
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,15 +47,27 @@ def _parse_bound(value, name: str) -> float:
     return float(value)
 
 
-def _config_from(problem: dict) -> IntegratorConfig:
-    overrides = problem.get("config", {})
+def _converted(value, convert, name: str):
+    """convert(value), failing with a ValueError that names the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name!r} must be a number, got {value!r}") from None
+
+
+def _config_from(overrides: dict) -> IntegratorConfig:
+    from .odeint import IntegratorConfig
+
     known = {f.name for f in dataclasses.fields(IntegratorConfig)}
     unknown = set(overrides) - known - {"margin", "max_shells", "anchor_left", "anchor_right"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in overrides.items() if k in known}
-    if "max_steps" in kwargs:
-        kwargs["max_steps"] = int(kwargs["max_steps"])
+    for key, value in kwargs.items():
+        if key == "max_steps":
+            kwargs[key] = _converted(value, int, key)
+        elif not isinstance(value, (int, float)):
+            raise ValueError(f"{key!r} must be a number, got {value!r}")
     return IntegratorConfig(**kwargs)
 
 
@@ -84,7 +97,7 @@ def _load_problem(args) -> dict:
     return problem
 
 
-def _tail_dict(tail: Optional[_classify.TailReport]) -> Optional[dict]:
+def _tail_dict(tail: Optional[TailReport]) -> Optional[dict]:
     if tail is None:
         return None
     return {
@@ -97,7 +110,7 @@ def _tail_dict(tail: Optional[_classify.TailReport]) -> Optional[dict]:
     }
 
 
-def _endpoint_dict(label: str, cls: _classify.EndpointClass) -> dict:
+def _endpoint_dict(label: str, cls: EndpointClass) -> dict:
     out = {
         "endpoint": label,
         "engine": cls.engine.value,
@@ -115,7 +128,10 @@ def _endpoint_dict(label: str, cls: _classify.EndpointClass) -> dict:
     return out
 
 
-def _classify_report_dict(problem_in: dict, report: _classify.ClassificationReport, cfg: IntegratorConfig, engine: str, margin: float, max_shells: int) -> dict:
+def _classify_report_dict(problem_in: dict, report: ClassificationReport, cfg: IntegratorConfig, engine: str, margin: float, max_shells: int) -> dict:
+    from . import classify as _classify
+    from . import potentials as _pot
+
     def bound_repr(v: float):
         if v == math.inf:
             return "inf"
@@ -160,6 +176,9 @@ def _classify_report_dict(problem_in: dict, report: _classify.ClassificationRepo
 
 
 def cmd_classify(args) -> int:
+    from . import classify as _classify
+    from . import potentials as _pot
+
     problem = _load_problem(args)
     interval = problem.get("interval")
     if not isinstance(interval, dict) or "a" not in interval or "b" not in interval:
@@ -172,22 +191,25 @@ def cmd_classify(args) -> int:
         raise ValueError("problem needs a potential")
     potential = _pot.from_dict(problem["potential"])
     engine = args.engine or problem.get("engine", "both")
-    cfg = _config_from(problem)
     overrides = problem.get("config", {})
-    margin = float(overrides.get("margin", _classify.DEFAULT_MARGIN))
-    max_shells = int(overrides.get("max_shells", _classify.DEFAULT_MAX_SHELLS))
+    if not isinstance(overrides, dict):
+        raise ValueError(f"'config' must be a JSON object, got {overrides!r}")
+    cfg = _config_from(overrides)
+    margin = _converted(overrides.get("margin", _classify.DEFAULT_MARGIN), float, "margin")
+    max_shells = _converted(overrides.get("max_shells", _classify.DEFAULT_MAX_SHELLS), int, "max_shells")
     anchors = None
     if "anchor_left" in overrides or "anchor_right" in overrides:
         defaults = _classify.default_anchor(a, b)
         anchors = (
-            float(overrides.get("anchor_left", defaults[0])),
-            float(overrides.get("anchor_right", defaults[1])),
+            _converted(overrides.get("anchor_left", defaults[0]), float, "anchor_left"),
+            _converted(overrides.get("anchor_right", defaults[1]), float, "anchor_right"),
         )
     subject = potential
     if "n" in problem or "l" in problem:
         if not ("n" in problem and "l" in problem):
             raise ValueError("n and l must be given together")
-        subject = _pot.effective_potential(potential, int(problem["n"]), int(problem["l"]))
+        n, l = (_converted(problem[key], int, key) for key in ("n", "l"))
+        subject = _pot.effective_potential(potential, n, l)
     report = _classify.classify_interval(
         subject,
         a,
@@ -203,17 +225,30 @@ def cmd_classify(args) -> int:
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
 
 
-def _parse_sweep(text: str):
+def _parse_sweep(text: str) -> List[float]:
+    """The points of np.linspace(start, stop, count), bit for bit, without numpy."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("sweep must be start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2:
         raise ValueError("sweep count must be at least 2")
-    return np.linspace(start, stop, count)
+    # linspace's own arithmetic: i * step + start, or i / div * delta + start
+    # when the step underflows to zero, and the last point exactly stop
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
 
 
 def _extension_row(c: float) -> dict:
+    from . import extensions as _ext
+
     bc = _ext.boundary_condition(c)
     row = {
         "c": c,
@@ -276,9 +311,9 @@ def cmd_extensions(args) -> int:
         fmt = args.output or "json"
     else:
         grid = _parse_sweep(args.sweep)
-        if np.any(grid < 0.0) or np.any(grid >= 2.0 * math.pi):
+        if any(c < 0.0 or c >= 2.0 * math.pi for c in grid):
             raise ValueError("sweep values must lie in [0, 2*pi)")
-        rows = [_extension_row(float(c)) for c in grid]
+        rows = [_extension_row(c) for c in grid]
         fmt = args.output or "csv"
     if fmt == "json":
         payload = rows[0] if args.c is not None else rows
@@ -289,6 +324,8 @@ def cmd_extensions(args) -> int:
 
 
 def cmd_regularity_demo(args) -> int:
+    from . import extensions as _ext
+
     which = args.which
     n_max = args.n_max
     a = args.a
@@ -312,6 +349,9 @@ def cmd_regularity_demo(args) -> int:
 
 
 def cmd_effective_potential(args) -> int:
+    from . import classify as _classify
+    from . import potentials as _pot
+
     if args.potential is None:
         potential = _pot.Zero()
     elif args.potential.startswith("@"):
@@ -322,7 +362,7 @@ def cmd_effective_potential(args) -> int:
     problem = _pot.effective_potential(potential, args.n, args.l)
     lam, big_l = _pot.lambda_nl(args.n, args.l)
     grid = _parse_sweep(args.grid)
-    if np.any(grid <= 0.0):
+    if any(x <= 0.0 for x in grid):
         raise ValueError("grid abscissas must be positive")
     out = sys.stdout
     out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\n")
@@ -338,7 +378,7 @@ def cmd_effective_potential(args) -> int:
     writer.writerow(["x", "v", "v_eff"])
     for x in grid:
         writer.writerow(
-            [repr(float(x)), repr(_pot.evaluate(potential, x)), repr(_pot.evaluate(problem.q_eff, x))]
+            [repr(x), repr(_pot.evaluate(potential, x)), repr(_pot.evaluate(problem.q_eff, x))]
         )
     return EXIT_OK
 

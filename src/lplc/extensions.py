@@ -19,17 +19,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from .errors import SingularRatioError
 from .quadrature import simpson
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-ArrayLike = Union[float, np.ndarray]
+# numpy is imported only by the functions that take or build arrays.
+ArrayLike = Union[float, "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class DeficiencyFunction:
         return (self.sign * 1j - 1.0) / _SQRT2
 
     def __call__(self, x: ArrayLike) -> Union[complex, np.ndarray]:
+        import numpy as np
+
         if isinstance(x, np.ndarray):
             return np.exp(self.exponent * x)
         return cmath.exp(self.exponent * x)
@@ -213,6 +217,8 @@ def sequence_f(n: int, a: float, x: ArrayLike) -> ArrayLike:
         raise ValueError("n must be a positive integer")
     if not a > 1.0:
         raise ValueError("a must exceed 1")
+    import numpy as np
+
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(arr)
     head = arr < 1.0 / n
@@ -232,6 +238,8 @@ def sequence_g(n: int, a: float, x: ArrayLike) -> ArrayLike:
         raise ValueError("n must be a positive integer")
     if not a > 0.0:
         raise ValueError("a must be positive")
+    import numpy as np
+
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(arr)
     inside = arr < a

@@ -41,10 +41,9 @@ independent integrations may run concurrently without shared state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from .errors import (
     GridMismatchError,
@@ -57,7 +56,12 @@ from .errors import (
 )
 from .potentials import Potential, evaluate
 
-_EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that build or read arrays, so
+# the stepper and the rest of the package load without it.
+_EPS = sys.float_info.epsilon
 
 SHELL_POINTS = 16  # recording intervals per dyadic shell
 
@@ -172,9 +176,13 @@ class SolutionTrace:
 
     def values(self) -> np.ndarray:
         """True solution values; may overflow for extreme log scales."""
+        import numpy as np
+
         return self.y * np.exp(self.log_scale)
 
     def derivative_values(self) -> np.ndarray:
+        import numpy as np
+
         return self.dy * np.exp(self.log_scale)
 
 
@@ -370,6 +378,8 @@ def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig
     cfg.x_max, which closes the grid; a start at x <= 0 (in the direction
     of travel) first runs uniformly up to |x| = 1.
     """
+    import numpy as np
+
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
     if x_start == x_end:
@@ -414,6 +424,8 @@ def _shell_points(edge: float, n: int, step: int) -> np.ndarray:
     Each shell is the first one scaled by a power of two, which is exact,
     so every SHELL_POINTS-th point is exactly edge * 2^(step * k).
     """
+    import numpy as np
+
     first = edge * 2.0 ** (step * np.arange(SHELL_POINTS) / SHELL_POINTS)
     shells = np.ldexp(first[None, :], step * np.arange(n + 1)[:, None])
     return shells.ravel()[: n * SHELL_POINTS + 1]
@@ -436,6 +448,8 @@ def integrate_grid(
     bounds the attempted steps of this call, or of every call sharing
     `_stepper`.
     """
+    import numpy as np
+
     cfg = cfg or IntegratorConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -502,6 +516,8 @@ def fundamental_pair(
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
     """Join traces that continue one another (shared junction points)."""
+    import numpy as np
+
     if not traces:
         raise ValueError("need at least one trace")
     head = traces[0]
@@ -535,6 +551,8 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
 
 def wronskian_values(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
     """Wronskian along the shared grid of two traces."""
+    import numpy as np
+
     if t1.eigenvalue != t2.eigenvalue:
         raise ValueError("traces have different eigenvalues")
     if not np.array_equal(t1.x, t2.x):
@@ -545,6 +563,8 @@ def wronskian_values(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
 
 def _as_curve(obj) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extract (x, values, first, second derivatives) from a trace or sample."""
+    import numpy as np
+
     if isinstance(obj, SolutionTrace):
         scale = np.exp(obj.log_scale)
         vals = obj.y * scale
@@ -572,6 +592,8 @@ def green_identity_residual(phi, psi, c: float, d: float) -> float:
     of traces are reconstructed through the differential equation rather
     than finite differences.
     """
+    import numpy as np
+
     from .quadrature import trapezoid
 
     x1, v1, dv1, d21 = _as_curve(phi)

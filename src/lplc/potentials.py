@@ -15,13 +15,15 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .errors import NonFiniteError, OutOfRangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Potential:
@@ -164,27 +166,37 @@ class Sum(Potential):
 
 @dataclass(frozen=True)
 class Tabulated(Potential):
-    """Linear interpolation of sampled values; refuses to extrapolate."""
+    """Linear interpolation of sampled values; refuses to extrapolate.
 
-    x: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
+    The samples are checked and kept as tuples of floats, which the
+    scalar lookup in _raw reads, so a table of plain numbers is built
+    without numpy. The arrays x and q are made on first access.
+    """
 
     def __init__(self, x: Sequence[float], q: Sequence[float]):
-        xa = np.asarray(x, dtype=float)
-        qa = np.asarray(q, dtype=float)
-        if xa.ndim != 1 or xa.shape != qa.shape:
+        xs, qs = _float_samples(x), _float_samples(q)
+        if len(xs) != len(qs):
             raise ValueError("x and q must be 1-d arrays of equal length")
-        if xa.size < 4:
+        if len(xs) < 4:
             raise ValueError("tabulated potential needs at least 4 points")
-        if not np.all(np.diff(xa) > 0):
+        if not all(lo < hi for lo, hi in zip(xs, xs[1:])):
             raise ValueError("tabulated grid must be strictly increasing")
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(qa))):
+        if not all(map(math.isfinite, xs + qs)):
             raise ValueError("tabulated data must be finite")
-        object.__setattr__(self, "x", xa)
-        object.__setattr__(self, "q", qa)
-        # Plain lists for the scalar lookup in _raw.
-        object.__setattr__(self, "_xs", xa.tolist())
-        object.__setattr__(self, "_qs", qa.tolist())
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_qs", qs)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._xs)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._qs)
 
     def _raw(self, x: float) -> float:
         xs, qs = self._xs, self._qs
@@ -205,17 +217,13 @@ class Tabulated(Potential):
         return None  # no trustworthy limit from finite samples
 
     def to_dict(self) -> dict:
-        return {"type": "tabulated", "x": self.x.tolist(), "q": self.q.tolist()}
+        return {"type": "tabulated", "x": list(self._xs), "q": list(self._qs)}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tabulated)
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.q, other.q)
-        )
+        return isinstance(other, Tabulated) and self._xs == other._xs and self._qs == other._qs
 
     def __hash__(self):
-        return hash((self.x.tobytes(), self.q.tobytes()))
+        return hash((self._xs, self._qs))
 
 
 @dataclass(frozen=True)
@@ -277,8 +285,20 @@ def from_dict(data: dict) -> Potential:
     return build(**kwargs)
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _float_samples(values) -> Tuple[float, ...]:
+    """The samples of a 1-d sequence as floats.
+
+    A list or tuple of plain numbers is converted without numpy; anything
+    else goes through np.asarray(values, dtype=float).
+    """
+    if isinstance(values, (list, tuple)) and all(type(v) in (int, float) for v in values):
+        return tuple(map(float, values))
+    import numpy as np
+
+    samples = np.asarray(values, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError("x and q must be 1-d arrays of equal length")
+    return tuple(samples.tolist())
 
 
 # type -> (constructor, {field: decoder of the field's JSON value})
@@ -289,7 +309,7 @@ _DECODERS = {
     "power_law": (PowerLaw, {"c": float, "p": float}),
     "harmonic": (Harmonic, {"k": float}),
     "sum": (Sum, {"terms": lambda terms: [from_dict(t) for t in terms]}),
-    "tabulated": (Tabulated, {"x": _float_array, "q": _float_array}),
+    "tabulated": (Tabulated, {"x": _float_samples, "q": _float_samples}),
     "mirrored": (Mirrored, {"base": from_dict}),
 }
 

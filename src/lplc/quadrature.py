@@ -9,14 +9,18 @@ thousands of orders of magnitude never overflow.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LN2 = math.log(2.0)
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray):
     """Composite trapezoid of samples y over abscissas x."""
+    import numpy as np
+
     y = np.asarray(y)
     x = np.asarray(x, dtype=float)
     if x.size < 2:
@@ -26,6 +30,8 @@ def trapezoid(y: np.ndarray, x: np.ndarray):
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral, zero at the first abscissa."""
+    import numpy as np
+
     y = np.asarray(y)
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=np.result_type(y, float))
@@ -40,6 +46,8 @@ def log_trapezoid(log_y: np.ndarray, x: np.ndarray) -> float:
     Entries of log_y may be -inf (integrand zero there). Returns -inf for
     fewer than two samples or an identically vanishing integrand.
     """
+    import numpy as np
+
     log_y = np.asarray(log_y, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.size < 2:
@@ -53,6 +61,8 @@ def log_trapezoid(log_y: np.ndarray, x: np.ndarray) -> float:
 
 def simpson(f, a: float, b: float, panels: int = 2048) -> float:
     """Composite Simpson rule for a callable on [a, b] with even panel count."""
+    import numpy as np
+
     if panels % 2:
         panels += 1
     x = np.linspace(a, b, panels + 1)

@@ -1,10 +1,16 @@
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from lplc.cli import main
+import lplc
+from lplc.cli import _parse_sweep, main
 
 FREE_HALF_LINE = {
     "interval": {"a": 0, "b": "inf"},
@@ -18,6 +24,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# A problem change with a malformed value, and the key its error must name.
+MALFORMED_VALUES = [
+    ({"config": 5}, "config"),
+    ({"config": {"margin": None}}, "margin"),
+    ({"config": {"rel_tol": None}}, "rel_tol"),
+    ({"config": {"max_shells": None}}, "max_shells"),
+    ({"config": {"anchor_left": None}}, "anchor_left"),
+    ({"n": None}, "n"),
+]
+MALFORMED_VALUE_IDS = ["config-not-an-object", "null-margin", "null-rel-tol", "null-max-shells",
+                       "null-anchor", "null-n"]
 
 
 def write_spec(tmp_path, spec, name="problem.json"):
@@ -104,9 +123,10 @@ class TestClassifyCommand:
             {"interval": {"a": None, "b": "inf"}},
             {"interval": {"a": 0, "b": [1]}},
             {"interval": {"a": 0, "b": True}},
+            *(change for change, _ in MALFORMED_VALUES),
         ],
         ids=["missing-field", "terms-not-a-list", "term-not-an-object", "table-not-numbers",
-             "type-not-a-string", "null-bound", "list-bound", "boolean-bound"],
+             "type-not-a-string", "null-bound", "list-bound", "boolean-bound", *MALFORMED_VALUE_IDS],
     )
     def test_malformed_problem_exit_one(self, capsys, tmp_path, change):
         path = write_spec(tmp_path, dict(FREE_HALF_LINE, **change))
@@ -115,6 +135,13 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("lplc: error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change, key", MALFORMED_VALUES, ids=MALFORMED_VALUE_IDS)
+    def test_malformed_value_error_names_its_key(self, capsys, tmp_path, change, key):
+        path = write_spec(tmp_path, dict(FREE_HALF_LINE, **change))
+        code, _, err = run(capsys, ["classify", "--input", path])
+        assert code == 1
+        assert err.startswith("lplc: error:") and repr(key) in err
 
     @pytest.mark.parametrize("key, anchor", [("anchor_left", -1.0), ("anchor_right", 1.0), ("anchor_right", 2.0)])
     def test_anchor_outside_interval_exit_one(self, capsys, tmp_path, key, anchor):
@@ -328,3 +355,62 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize(
+        "start, stop, count",
+        [
+            (0.0, 1.0, 2),
+            (0.0, 1.0, 3),
+            (0.1, 10.0, 100),
+            (0.0, 2 * math.pi * 0.75, 4),
+            (0.05, 6.28, 100_003),
+            (6.2, 0.3, 64),
+            (3.0, -2.5, 1001),
+            (1.0, 1.0, 5),
+            (0.0, 5e-324, 3),
+            (-0.0, 0.0, 3),
+        ],
+    )
+    def test_points_equal_linspace(self, start, stop, count):
+        points = _parse_sweep(f"{start!r}:{stop!r}:{count}")
+        expected = np.linspace(start, stop, count)
+        assert len(points) == count
+        assert all(type(p) is float for p in points)
+        assert all(p == e for p, e in zip(points, expected.tolist()))
+        assert points[0] == start and points[-1] == stop
+
+    def test_random_ranges_equal_linspace(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            start, stop = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            count = rng.randint(2, 500)
+            points = _parse_sweep(f"{start!r}:{stop!r}:{count}")
+            assert points == np.linspace(start, stop, count).tolist()
+
+
+def test_cli_subcommands_import_no_numpy():
+    # numpy costs most of a cold start; only numeric marches and array APIs may load it
+    script = """
+import sys
+import lplc
+assert "numpy" not in sys.modules, "import lplc"
+import lplc.cli
+assert "numpy" not in sys.modules, "import lplc.cli"
+for argv in (
+    ["extensions", "--c", "1.0"],
+    ["extensions", "--sweep", "0:6.28:16"],
+    ["regularity-demo", "--which", "f", "--n-max", "5"],
+    ["regularity-demo", "--which", "g", "--n-max", "5"],
+    ["effective-potential", "--n", "3", "--l", "1", "--potential", '{"type": "coulomb", "z": -1}'],
+    ["effective-potential", "--n", "3", "--l", "0", "--grid", "1:3:5",
+     "--potential", '{"type": "tabulated", "x": [0.5, 1, 2, 4], "q": [1, 0, -1, 2]}'],
+):
+    assert lplc.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+    src = os.path.dirname(os.path.dirname(lplc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -112,6 +112,13 @@ class TestEvaluate:
             with pytest.raises(OutOfRangeError):
                 evaluate(q, float(x))
 
+    def test_tabulated_arrays_hold_the_samples(self):
+        q = Tabulated([0, 1, 2.5, 3], (4.0, 5, 6, 7.5))
+        assert q.x.dtype == float and q.x.tolist() == [0.0, 1.0, 2.5, 3.0]
+        assert q.q.dtype == float and q.q.tolist() == [4.0, 5.0, 6.0, 7.5]
+        assert q.x is q.x
+        assert q == Tabulated(q.x, q.q) and hash(q) == hash(Tabulated(q.x, q.q))
+
     def test_non_finite(self):
         with pytest.raises(NonFiniteError):
             evaluate(Coulomb(1.0), 0.0)
