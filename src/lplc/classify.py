@@ -15,7 +15,8 @@ provided.
   integrals certifies square integrability; geometric growth certifies
   its failure; shell ratios inside a guard band around 1 are reported
   as inconclusive rather than force-classified, because the borderline
-  |y|^2 ~ 1/x case is genuinely log-divergent.
+  |y|^2 ~ 1/x case is genuinely log-divergent. band_status reads one
+  tail, and joint_status composes the tails of an endpoint.
 
 Which eigenvalue is probed does not matter: if every solution is
 square-integrable near an endpoint for one non-real eigenvalue, the
@@ -44,7 +45,7 @@ from .odeint import SHELL_POINTS, ComplexState, IntegratorConfig, _Stepper, buil
 from .potentials import EffectiveProblem, Mirrored, Potential
 
 # perfbench/tracer.py wraps these three by module attribute, so
-# _march_shells calls integrate_grid through this module.
+# classify_numeric calls integrate_grid through this module.
 from .odeint import concatenate_traces, integrate_grid  # noqa: F401
 from .quadrature import log_trapezoid  # noqa: F401
 
@@ -102,8 +103,8 @@ class TailReport:
     the k-th dyadic shell, ordered toward the endpoint; shell_integrals
     gives the values themselves, which may overflow to inf.
     fitted_exponent is the slope of log I_k against k; the per-shell
-    ratio is its exponential. The verdict carries a guard band of width
-    `margin` around ratio 1.
+    ratio is its exponential, and `status` reads it against a guard band
+    of width `margin` around ratio 1.
     """
 
     log_shell_integrals: Tuple[float, ...]
@@ -126,16 +127,8 @@ class TailReport:
         return _safe_exp(self.fitted_exponent)
 
     @property
-    def convergent(self) -> bool:
-        return band_status(self.fitted_ratio, self.margin) == "convergent"
-
-    @property
-    def divergent(self) -> bool:
-        return band_status(self.fitted_ratio, self.margin) == "divergent"
-
-    @property
-    def inconclusive(self) -> bool:
-        return not (self.convergent or self.divergent)
+    def status(self) -> str:
+        return band_status(self.fitted_ratio, self.margin)
 
 
 @dataclass(frozen=True)
@@ -186,14 +179,14 @@ class SelfAdjointness:
         return "needs_boundary_conditions"
 
 
-def fit_shell_exponent(log_integrals: Sequence[float], fit_window: int = DEFAULT_FIT_WINDOW) -> float:
-    """Least-squares slope of log I_k against k over the last `fit_window` shells."""
+def fit_shell_exponent(log_integrals: Sequence[float]) -> float:
+    """Least-squares slope of log I_k against k over the last DEFAULT_FIT_WINDOW shells."""
     import numpy as np
 
     logs = np.asarray(log_integrals, dtype=float)
     if logs.size < 2:
         raise InsufficientTailError("need at least two shells to fit")
-    tail = logs[-fit_window:] if logs.size > fit_window else logs
+    tail = logs[-DEFAULT_FIT_WINDOW:]
     if np.all(tail <= _ZERO_FLOOR):
         return -math.inf
     if np.any(np.isinf(tail)):
@@ -224,6 +217,21 @@ def band_status(ratio: float, margin: float) -> str:
     return "inconclusive"
 
 
+def joint_status(statuses: Sequence[str]) -> str:
+    """'divergent' if any status is, 'convergent' if all are, else 'inconclusive'."""
+    if "divergent" in statuses:
+        return "divergent"
+    if all(s == "convergent" for s in statuses):
+        return "convergent"
+    return "inconclusive"
+
+
+def _check_margin(margin: float) -> None:
+    """Reject a guard band that is negative or swallows every ratio below 1."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
+
+
 def classify_asymptotic(problem: EffectiveProblem) -> EndpointClass:
     """Exact origin classification from the 1/x^2 coefficient of the potential.
 
@@ -248,28 +256,6 @@ def _decisively_divergent(logs: Sequence[float]) -> bool:
     return d1 > _DECISIVE_LOG_RATIO and d2 > _DECISIVE_LOG_RATIO
 
 
-def _march_shells(q, eigenvalue, edges, init, cfg, stepper, early_stop):
-    """March solution columns across the shells between `edges` on one stepper.
-
-    Shell k runs from edges[k] to edges[k + 1]; its log integral of
-    |y|^2 is the one the integrator accumulated inside its steps.
-    Returns the per-shell logs of each column, in marching order. With
-    early_stop the march ends once any column diverges decisively, so
-    every column covers the same shells.
-    """
-    states = init
-    logs: List[List[float]] = [[] for _ in init]
-    for k in range(len(edges) - 1):
-        seg = integrate_grid(q, eigenvalue, edges[k : k + 2], states, cfg, _stepper=stepper)
-        columns = seg.columns()
-        for col_logs, col in zip(logs, columns):
-            col_logs.append(float(col.log_square_integrals[0]))
-        states = [col.final_state for col in columns]
-        if early_stop and any(_decisively_divergent(v) for v in logs):
-            break
-    return logs
-
-
 def classify_numeric(
     q: Potential,
     endpoint: Endpoint,
@@ -279,92 +265,93 @@ def classify_numeric(
     eigenvalue: complex = 1j,
     margin: float = DEFAULT_MARGIN,
     max_shells: int = DEFAULT_MAX_SHELLS,
-    fit_window: int = DEFAULT_FIT_WINDOW,
 ) -> EndpointClass:
     """Numeric endpoint classification at a non-real probe eigenvalue.
 
     A fundamental pair is integrated from the anchor toward the endpoint,
     over the first max_shells whole shells of build_grid's recording
-    grid, and the square-integrability of each spanning solution is judged
-    from its dyadic-shell report: limit circle iff both tails converge,
+    grid. Each spanning solution gets a dyadic-shell report, and
+    joint_status composes the two: limit circle iff both tails converge,
     limit point if at least one diverges, inconclusive when a fitted
-    ratio falls inside the guard band. Toward an infinite endpoint the
-    subdominant solution is recovered by reverse integration from the
-    far truncation point, which suppresses contamination by the growing
-    mode; the shell march also stops early once divergence is decisive,
-    so rapidly growing solutions are not chased across the whole range.
-
-    For a left-infinite endpoint the problem is mirrored (x -> -x) and
-    classified toward +infinity.
+    ratio falls inside the guard band (margin in [0, 1)). The shell march
+    stops early once divergence is decisive, so rapidly growing solutions
+    are not chased across the whole range. Toward an infinite endpoint
+    the anchor must lie on the endpoint's side of 0, and the subdominant
+    solution is recovered by one reverse integration from the last shell
+    reached, which suppresses contamination by the growing mode. A
+    left-infinite endpoint is classified on the mirror image x -> -x.
     """
+    _check_margin(margin)
     cfg = cfg or IntegratorConfig()
-    if endpoint.position == -math.inf:
-        mirrored = Endpoint(math.inf, "right")
-        return classify_numeric(
-            Mirrored(q),
-            mirrored,
-            -anchor,
-            cfg,
-            eigenvalue=eigenvalue,
-            margin=margin,
-            max_shells=max_shells,
-            fit_window=fit_window,
-        )
-    if endpoint.is_infinite and anchor <= 0.0:
-        raise ValueError("anchor must be positive toward an infinite endpoint")
+    if endpoint.is_infinite and not anchor * math.copysign(1.0, endpoint.position) > 0.0:
+        side = "positive" if endpoint.position > 0.0 else "negative"
+        raise ValueError(f"anchor must be {side} toward {endpoint.label()}, got {anchor!r}")
     grid = build_grid(q, anchor, endpoint.position, cfg)
+    if endpoint.position == -math.inf:
+        q, grid = Mirrored(q), -grid
     n_shells = min(max_shells, (grid.size - 1) // SHELL_POINTS)
     if n_shells < DEFAULT_MIN_SHELLS:
         raise InsufficientTailError(
             f"the recording grid toward {endpoint.label()} holds only {n_shells} whole shells"
         )
     edges = grid[: SHELL_POINTS * n_shells + 1 : SHELL_POINTS]
-    # One stepper per endpoint: its step budget covers both marches.
+    # March the fundamental pair shell by shell: shell k runs from edges[k]
+    # to edges[k + 1], and its log integral of |y|^2 is the one the
+    # integrator accumulated inside its steps. One stepper per endpoint:
+    # its step budget covers both marches.
     stepper = _Stepper(q, eigenvalue, cfg)
-    pair = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
-    shell_logs = _march_shells(q, eigenvalue, edges, pair, cfg, stepper, early_stop=True)
-    reports = [
-        _tail_report(logs, index, margin, fit_window)
-        for index, logs in enumerate(shell_logs, start=1)
-    ]
+    states = [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)]
+    shell_logs: List[List[float]] = [[], []]
+    for k in range(n_shells):
+        columns = integrate_grid(q, eigenvalue, edges[k : k + 2], states, cfg, _stepper=stepper).columns()
+        for logs, col in zip(shell_logs, columns):
+            logs.append(float(col.log_square_integrals[0]))
+        states = [col.final_state for col in columns]
+        if any(_decisively_divergent(logs) for logs in shell_logs):
+            break
+    reports = [_tail_report(logs, index, margin) for index, logs in enumerate(shell_logs, start=1)]
     if endpoint.is_infinite:
         # Keep the more divergent forward report as the dominant-solution
         # evidence and replace the other by the subdominant tail, recovered
-        # by integrating backward from the truncation point: backward in x
-        # the solution that decays toward infinity is the growing one, so
-        # any seed relaxes onto it away from the start point.
+        # by one backward integration across every shell the forward march
+        # reached: backward in x the solution that decays toward infinity
+        # is the growing one, so any seed relaxes onto it away from the
+        # start point.
         dominant = replace(max(reports, key=lambda r: r.fitted_exponent), solution_index=1)
         reached = len(shell_logs[0])
-        (rev_logs,) = _march_shells(
-            q, eigenvalue, edges[: reached + 1][::-1], (ComplexState(1.0, 0.0),), cfg, stepper,
-            early_stop=False,
+        back = integrate_grid(
+            q, eigenvalue, edges[reached::-1], ComplexState(1.0, 0.0), cfg, _stepper=stepper
         )
-        rev_logs.reverse()  # order shells toward the endpoint
-        reports = [dominant, _tail_report(rev_logs, 2, margin, fit_window)]
+        rev_logs = back.log_square_integrals[::-1].tolist()  # order shells toward the endpoint
+        reports = [dominant, _tail_report(rev_logs, 2, margin)]
     return _compose_endpoint_class(reports)
 
 
-def _tail_report(logs: Sequence[float], index: int, margin: float, fit_window: int) -> TailReport:
+def _tail_report(logs: Sequence[float], index: int, margin: float) -> TailReport:
     return TailReport(
         log_shell_integrals=tuple(logs),
-        fitted_exponent=fit_shell_exponent(logs, fit_window),
+        fitted_exponent=fit_shell_exponent(logs),
         margin=margin,
         solution_index=index,
     )
 
 
+_VERDICT_OF_STATUS = {
+    "divergent": EndpointVerdict.LIMIT_POINT,
+    "convergent": EndpointVerdict.LIMIT_CIRCLE,
+    "inconclusive": EndpointVerdict.INCONCLUSIVE,
+}
+
+
 def _compose_endpoint_class(reports: List[TailReport]) -> EndpointClass:
-    if any(r.divergent for r in reports):
-        decisive = next(r for r in reports if r.divergent)
-        verdict_ = EndpointVerdict.LIMIT_POINT
-    elif all(r.convergent for r in reports):
+    """The joint verdict; its tail is the first with the joint status (LC: the slowest decay)."""
+    status = joint_status([r.status for r in reports])
+    if status == "convergent":
         decisive = max(reports, key=lambda r: r.fitted_exponent)
-        verdict_ = EndpointVerdict.LIMIT_CIRCLE
     else:
-        decisive = next(r for r in reports if r.inconclusive)
-        verdict_ = EndpointVerdict.INCONCLUSIVE
+        decisive = next(r for r in reports if r.status == status)
     return EndpointClass(
-        verdict=verdict_,
+        verdict=_VERDICT_OF_STATUS[status],
         engine=Engine.NUMERIC,
         tail=decisive,
         tails=tuple(reports),

@@ -48,7 +48,12 @@ def _parse_bound(value, name: str) -> float:
 
 
 def _converted(value, convert, name: str):
-    """convert(value), failing with a ValueError that names the key."""
+    """convert(value), failing with a ValueError that names the key.
+
+    JSON booleans are not numbers here, although Python would convert them.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -66,7 +71,7 @@ def _config_from(overrides: dict) -> IntegratorConfig:
     for key, value in kwargs.items():
         if key == "max_steps":
             kwargs[key] = _converted(value, int, key)
-        elif not isinstance(value, (int, float)):
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key!r} must be a number, got {value!r}")
     return IntegratorConfig(**kwargs)
 
@@ -145,17 +150,9 @@ def _classify_report_dict(problem_in: dict, report: ClassificationReport, cfg: I
             "potential": _pot.from_dict(problem_in["potential"]).to_dict(),
             "engine": engine,
         },
-        "config": {
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "max_steps": cfg.max_steps,
-            "rescale_band": cfg.rescale_band,
-            "x_min": cfg.x_min,
-            "x_max": cfg.x_max,
-            "margin": margin,
-            "max_shells": max_shells,
-            "probe_eigenvalue": [0.0, 1.0],
-        },
+        "config": dict(
+            dataclasses.asdict(cfg), margin=margin, max_shells=max_shells, probe_eigenvalue=[0.0, 1.0]
+        ),
         "endpoints": [
             _endpoint_dict(_classify.Endpoint(report.a, "left").label(), report.left),
             _endpoint_dict(_classify.Endpoint(report.b, "right").label(), report.right),

@@ -63,10 +63,6 @@ class DeficiencyFunction:
     def second_derivative(self, x: ArrayLike) -> Union[complex, np.ndarray]:
         return self.exponent * self.exponent * self(x)
 
-    def norm_squared(self) -> float:
-        """Exact integral of |phi|^2 over the half line."""
-        return 1.0 / _SQRT2
-
 
 def deficiency_function(sign: int, x: ArrayLike) -> Union[complex, np.ndarray]:
     """Value of the deficiency mode for the given sign at x >= 0."""
@@ -172,15 +168,13 @@ def adjoint_ratio(c: float, kind: int) -> complex:
 class ExtensionDomainElement:
     """base + z (phi_plus + e^{ic} phi_minus) with base vanishing near 0.
 
-    The base function must vanish on [0, epsilon]; only its metadata
-    matters to the boundary condition, which depends on z and c alone.
+    The base function must vanish near 0, so the boundary condition
+    depends on z and c alone.
     """
 
     z: complex
     c: float
     base: Optional[Callable[[float], complex]] = None
-    epsilon: float = 0.0
-    boundary_value: complex = 0.0  # recorded base value at epsilon; unused at x = 0
 
     def value(self, x: ArrayLike) -> Union[complex, np.ndarray]:
         phase = cmath.exp(1j * self.c)

@@ -97,12 +97,6 @@ class ComplexState:
     dy: complex
     log_scale: float = 0.0
 
-    def true_y(self) -> complex:
-        return self.y * math.exp(self.log_scale)
-
-    def true_dy(self) -> complex:
-        return self.dy * math.exp(self.log_scale)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -147,9 +141,6 @@ class SolutionTrace:
     potential: Potential
     direction: int
     log_square_integrals: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return self.x.size
 
     def columns(self) -> Tuple["SolutionTrace", ...]:
         """One single-solution trace per column (the trace itself if it has none)."""

@@ -21,7 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import DEFAULT_MARGIN, _safe_exp, band_status, fit_shell_exponent
+from .classify import (
+    DEFAULT_MARGIN,
+    _check_margin,
+    _safe_exp,
+    band_status,
+    fit_shell_exponent,
+    joint_status,
+)
 from .errors import (
     BumpNotInteriorError,
     InsufficientTailError,
@@ -31,6 +38,7 @@ from .errors import (
 from .quadrature import cumulative_trapezoid, log_trapezoid, trapezoid
 
 _EPS = float(np.finfo(float).eps)
+_MAX_SHELLS = 32  # dyadic shells toward 0 that a shell report reads at most
 
 
 @dataclass(frozen=True)
@@ -157,43 +165,30 @@ def antiderivative_samples(g: SampledFunction, y0: float) -> SampledFunction:
     )
 
 
-def dyadic_shell_log_integrals(
-    x: np.ndarray,
-    log_v: np.ndarray,
-    *,
-    toward: float,
-    max_shells: int = 64,
-) -> List[float]:
-    """Log of the integrals of exp(log_v) over dyadic shells toward an endpoint.
+def dyadic_shell_log_integrals(x: np.ndarray, log_v: np.ndarray) -> List[float]:
+    """Log of the integrals of exp(log_v) over dyadic shells toward 0.
 
-    Shells are measured in distance from a finite endpoint position, or
-    in |x| itself when `toward` is infinite; shell k spans one factor of
-    two, ordered so that increasing k approaches the endpoint. Shell
-    boundaries falling between samples are filled in by interpolating
-    log_v linearly (exact for exponentials and powers).
+    Shells are measured in |x|; shell k spans one factor of two, ordered
+    so that increasing k approaches 0, for at most _MAX_SHELLS shells
+    from the sample farthest out. Shell boundaries falling between
+    samples are filled in by interpolating log_v linearly (exact for
+    exponentials and powers).
     """
-    x = np.asarray(x, dtype=float)
+    coord = np.abs(np.asarray(x, dtype=float))
     log_v = np.asarray(log_v, dtype=float)
-    if math.isinf(toward):
-        coord = np.abs(x)
-    else:
-        coord = np.abs(toward - x)
     order = np.argsort(coord)
     coord = coord[order]
     vals = log_v[order]
     c_lo = coord[0]
     c_hi = coord[-1]
     if c_lo <= 0.0 or c_hi <= 0.0:
-        raise ValueError("samples must keep a positive distance from the endpoint")
-    n_shells = min(max_shells, int(math.floor(math.log2(c_hi / c_lo) + 1e-9)))
+        raise ValueError("samples must keep a positive distance from 0")
+    n_shells = min(_MAX_SHELLS, int(math.floor(math.log2(c_hi / c_lo) + 1e-9)))
     if n_shells < 1:
         raise InsufficientTailError("samples span less than one dyadic shell")
     out: List[float] = []
     for k in range(n_shells):
-        if math.isinf(toward):
-            lo, hi = c_lo * 2.0**k, c_lo * 2.0 ** (k + 1)
-        else:
-            hi, lo = c_hi * 2.0**-k, c_hi * 2.0 ** -(k + 1)
+        hi, lo = c_hi * 2.0**-k, c_hi * 2.0 ** -(k + 1)
         xs, ls = _clip_samples(coord, vals, lo, hi)
         out.append(log_trapezoid(ls, xs))
     return out
@@ -214,11 +209,12 @@ def _clip_samples(coord, vals, lo, hi):
 
 
 _INTEGRAND_NAMES = ("|f|", "|f'|", "|f''|")
+_MEMBERSHIP = {"convergent": True, "divergent": False, "inconclusive": None}
 
 
 @dataclass(frozen=True)
 class W21Report:
-    """Shell convergence of |f|, |f'|, |f''| toward the left edge of the grid.
+    """Shell convergence of |f|, |f'|, |f''| toward 0.
 
     statuses[i] is 'convergent', 'divergent' or 'inconclusive' for the
     i-th integrand; membership verdicts are None when the evidence is
@@ -232,19 +228,11 @@ class W21Report:
 
     @property
     def in_w11(self) -> Optional[bool]:
-        return self._conjunction(self.statuses[:2])
+        return _MEMBERSHIP[joint_status(self.statuses[:2])]
 
     @property
     def in_w21(self) -> Optional[bool]:
-        return self._conjunction(self.statuses)
-
-    @staticmethod
-    def _conjunction(statuses) -> Optional[bool]:
-        if any(s == "divergent" for s in statuses):
-            return False
-        if all(s == "convergent" for s in statuses):
-            return True
-        return None
+        return _MEMBERSHIP[joint_status(self.statuses)]
 
     @property
     def failing(self) -> Optional[str]:
@@ -263,15 +251,14 @@ class W21Report:
         return "inconclusive"
 
 
-def w21_report(
-    f: SampledFunction, *, margin: float = DEFAULT_MARGIN, max_shells: int = 32
-) -> W21Report:
-    """Integrable-derivative membership of f near the left edge of its grid.
+def w21_report(f: SampledFunction, *, margin: float = DEFAULT_MARGIN) -> W21Report:
+    """Integrable-derivative membership of f near 0.
 
     Requires first and second derivative samples (analytic fixtures, or
-    reconstructed from a differential equation). The grid must span at
-    least four dyadic shells toward its left edge.
+    reconstructed from a differential equation) and a margin in [0, 1).
+    The grid must span at least four dyadic shells toward 0.
     """
+    _check_margin(margin)
     if f.derivative_values is None or f.second_derivative_values is None:
         raise MissingDerivativeError("w21_report needs f' and f'' samples")
     statuses: List[str] = []
@@ -280,7 +267,7 @@ def w21_report(
     for data in (f.values, f.derivative_values, f.second_derivative_values):
         with np.errstate(divide="ignore"):
             log_v = np.log(np.abs(np.asarray(data, dtype=complex))).real
-        logs = dyadic_shell_log_integrals(f.grid, log_v, toward=0.0, max_shells=max_shells)
+        logs = dyadic_shell_log_integrals(f.grid, log_v)
         if len(logs) < 4:
             raise InsufficientTailError("grid spans fewer than 4 dyadic shells")
         slope = fit_shell_exponent(logs)

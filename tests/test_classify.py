@@ -19,6 +19,7 @@ from lplc.classify import (
     classify_numeric,
     deficiency_indices,
     fit_shell_exponent,
+    joint_status,
     verdict,
 )
 from lplc.errors import (
@@ -55,7 +56,7 @@ def shells_grid(n_shells=12, per_shell=16):
 def origin_tail(fn, grid):
     """Shell logs, fitted ratio and band status of |fn|^2 sampled toward 0."""
     log_v = 2.0 * np.log(np.abs([fn(t) for t in grid]))
-    logs = dyadic_shell_log_integrals(grid, log_v, toward=0.0)
+    logs = dyadic_shell_log_integrals(grid, log_v)
     ratio = math.exp(fit_shell_exponent(logs))
     return logs, ratio, band_status(ratio, DEFAULT_MARGIN)
 
@@ -137,15 +138,15 @@ class TestNumericEngine:
         cls = classify_numeric(Zero(), PLUS_INF, 1.0, CFG)
         assert cls.verdict is LP
         assert cls.engine is Engine.NUMERIC
-        assert cls.tail is not None and cls.tail.divergent
+        assert cls.tail is not None and cls.tail.status == "divergent"
         # the reverse-recovered subdominant tail is square integrable
         sub = [t for t in cls.tails if t.solution_index == 2][0]
-        assert sub.convergent
+        assert sub.status == "convergent"
 
     def test_free_at_regular_origin_limit_circle(self):
         cls = classify_numeric(Zero(), ORIGIN, 1.0, CFG)
         assert cls.verdict is LC
-        assert all(t.convergent for t in cls.tails)
+        assert all(t.status == "convergent" for t in cls.tails)
 
     def test_inverse_square_strong_repulsion_limit_point(self):
         cls = classify_numeric(InverseSquare(2.0), ORIGIN, 1.0, CFG)
@@ -159,6 +160,18 @@ class TestNumericEngine:
     def test_minus_infinity_mirrors(self):
         cls = classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, CFG)
         assert cls.verdict is LP
+
+    @pytest.mark.parametrize(
+        "endpoint, anchor, error, message",
+        [
+            (Endpoint(-math.inf, "left"), 1.0, ValueError, "anchor must be negative toward -inf"),
+            (PLUS_INF, -1.0, ValueError, "anchor must be positive toward inf"),
+            (Endpoint(-math.inf, "left"), -9000.0, InsufficientTailError, "grid toward -inf holds only 0"),
+        ],
+    )
+    def test_errors_name_the_callers_endpoint(self, endpoint, anchor, error, message):
+        with pytest.raises(error, match=message):
+            classify_numeric(Harmonic(1.0), endpoint, anchor, CFG)
 
     def test_step_budget_covers_the_whole_endpoint(self):
         # the march to +inf takes about 1800 attempted steps in all, but
@@ -181,11 +194,12 @@ class TestNumericEngine:
         classify_numeric(Zero(), PLUS_INF, 1.0, CFG)
         forward = [g for g in grids if g[-1] > g[0]]
         reverse = [g for g in grids if g[-1] < g[0]]
-        assert len(forward) >= 4 and len(reverse) == len(forward)
+        assert len(forward) >= 4 and len(reverse) == 1
         shells = build_grid(Zero(), 1.0, math.inf, CFG)
-        for k, (f, r) in enumerate(zip(forward, reversed(reverse))):
+        for k, f in enumerate(forward):
             assert np.array_equal(f, shells[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1 : SHELL_POINTS])
-            assert np.array_equal(r, f[::-1])
+        edges = shells[: SHELL_POINTS * len(forward) + 1 : SHELL_POINTS]
+        assert np.array_equal(reverse[0], edges[::-1])
 
     @pytest.mark.xfail(
         strict=True,
@@ -225,6 +239,18 @@ class TestComposition:
         one = verdict(DeficiencyIndices(1, 1))
         assert not one.essentially_self_adjoint and one.extension_dimension == 1
         assert verdict(DeficiencyIndices(2, 2)).extension_dimension == 4
+
+    @pytest.mark.parametrize(
+        "statuses, joint",
+        [
+            (("convergent", "convergent"), "convergent"),
+            (("convergent", "divergent"), "divergent"),
+            (("inconclusive", "divergent"), "divergent"),
+            (("convergent", "inconclusive"), "inconclusive"),
+        ],
+    )
+    def test_joint_status(self, statuses, joint):
+        assert joint_status(statuses) == joint
 
     def test_indices_invariant(self):
         with pytest.raises(ValueError):
@@ -310,6 +336,13 @@ class TestClassifyInterval:
         report = classify_interval(InverseSquare(0.75), 0.0, 1.0, engine="numeric")
         assert report.left.verdict is INC
         assert report.inconclusive and report.indices is None
+
+    @pytest.mark.parametrize("c, margin", [(2.0, -1.5), (0.75, -0.5), (0.25, 1.0), (0.25, math.nan)])
+    def test_margin_outside_unit_interval_rejected(self, c, margin):
+        # margin -1.5 would read InverseSquare(2.0) (ratio 2) as LC, and -0.5
+        # the LP threshold 0.75; 1.0 would let no tail converge
+        with pytest.raises(ValueError, match="margin"):
+            classify_interval(InverseSquare(c), 0.0, 1.0, engine="numeric", margin=margin)
 
     def test_asymptotic_engine_errors_off_origin(self):
         with pytest.raises(AsymptoticsUnavailableError):

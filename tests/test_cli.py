@@ -34,9 +34,12 @@ MALFORMED_VALUES = [
     ({"config": {"max_shells": None}}, "max_shells"),
     ({"config": {"anchor_left": None}}, "anchor_left"),
     ({"n": None}, "n"),
+    ({"config": {"rel_tol": True}}, "rel_tol"),
+    ({"config": {"margin": True}}, "margin"),
+    ({"n": True}, "n"),
 ]
 MALFORMED_VALUE_IDS = ["config-not-an-object", "null-margin", "null-rel-tol", "null-max-shells",
-                       "null-anchor", "null-n"]
+                       "null-anchor", "null-n", "boolean-rel-tol", "boolean-margin", "boolean-n"]
 
 
 def write_spec(tmp_path, spec, name="problem.json"):
@@ -123,10 +126,13 @@ class TestClassifyCommand:
             {"interval": {"a": None, "b": "inf"}},
             {"interval": {"a": 0, "b": [1]}},
             {"interval": {"a": 0, "b": True}},
+            {"config": {"margin": -0.5}},
+            {"config": {"margin": 1.0}},
             *(change for change, _ in MALFORMED_VALUES),
         ],
         ids=["missing-field", "terms-not-a-list", "term-not-an-object", "table-not-numbers",
-             "type-not-a-string", "null-bound", "list-bound", "boolean-bound", *MALFORMED_VALUE_IDS],
+             "type-not-a-string", "null-bound", "list-bound", "boolean-bound", "negative-margin",
+             "unit-margin", *MALFORMED_VALUE_IDS],
     )
     def test_malformed_problem_exit_one(self, capsys, tmp_path, change):
         path = write_spec(tmp_path, dict(FREE_HALF_LINE, **change))

@@ -163,6 +163,13 @@ class TestW21Report:
         with pytest.raises(MissingDerivativeError):
             w21_report(f)
 
+    @pytest.mark.parametrize("margin", [-0.5, 1.0, math.nan])
+    def test_margin_outside_unit_interval_rejected(self, margin):
+        # a negative band would read f' ~ x^{-4/3} (ratio 2) as convergent
+        f = SampledFunction(W21_GRID, W21_GRID, np.ones_like(W21_GRID), np.zeros_like(W21_GRID))
+        with pytest.raises(ValueError, match="margin"):
+            w21_report(f, margin=margin)
+
     def test_sequence_member_regular_head_vs_singular_limit(self):
         # members carry the x^{3/2} head below 1/n, so their trend toward 0
         # is integrable; the L2 limit x^{-1/3} fails through its derivative
