@@ -41,7 +41,7 @@ from .errors import (
     InconclusiveInputError,
     InsufficientTailError,
 )
-from .odeint import SHELL_POINTS, ComplexState, IntegratorConfig, _Stepper, build_grid
+from .odeint import ComplexState, IntegratorConfig, _Stepper, shell_edges
 from .potentials import EffectiveProblem, Mirrored, Potential
 
 # perfbench/tracer.py wraps these three by module attribute, so
@@ -269,8 +269,8 @@ def classify_numeric(
     """Numeric endpoint classification at a non-real probe eigenvalue.
 
     A fundamental pair is integrated from the anchor toward the endpoint,
-    over the first max_shells whole shells of build_grid's recording
-    grid. Each spanning solution gets a dyadic-shell report, and
+    over the first max_shells whole shells of odeint.shell_edges. Each
+    spanning solution gets a dyadic-shell report, and
     joint_status composes the two: limit circle iff both tails converge,
     limit point if at least one diverges, inconclusive when a fitted
     ratio falls inside the guard band (margin in [0, 1)). The shell march
@@ -282,19 +282,20 @@ def classify_numeric(
     left-infinite endpoint is classified on the mirror image x -> -x.
     """
     _check_margin(margin)
+    if not (isinstance(max_shells, int) and max_shells >= DEFAULT_MIN_SHELLS):
+        raise ValueError(f"max_shells must be an integer of at least {DEFAULT_MIN_SHELLS}, got {max_shells!r}")
     cfg = cfg or IntegratorConfig()
     if endpoint.is_infinite and not anchor * math.copysign(1.0, endpoint.position) > 0.0:
         side = "positive" if endpoint.position > 0.0 else "negative"
         raise ValueError(f"anchor must be {side} toward {endpoint.label()}, got {anchor!r}")
-    grid = build_grid(q, anchor, endpoint.position, cfg)
+    edges = shell_edges(anchor, endpoint.position, cfg)[: max_shells + 1]
     if endpoint.position == -math.inf:
-        q, grid = Mirrored(q), -grid
-    n_shells = min(max_shells, (grid.size - 1) // SHELL_POINTS)
+        q, edges = Mirrored(q), [-x for x in edges]
+    n_shells = len(edges) - 1
     if n_shells < DEFAULT_MIN_SHELLS:
         raise InsufficientTailError(
-            f"the recording grid toward {endpoint.label()} holds only {n_shells} whole shells"
+            f"the shell grid toward {endpoint.label()} holds only {n_shells} whole shells"
         )
-    edges = grid[: SHELL_POINTS * n_shells + 1 : SHELL_POINTS]
     # March the fundamental pair shell by shell: shell k runs from edges[k]
     # to edges[k + 1], and its log integral of |y|^2 is the one the
     # integrator accumulated inside its steps. One stepper per endpoint:
@@ -422,7 +423,6 @@ def classify_interval(
     engine: str = "both",
     cfg: Optional[IntegratorConfig] = None,
     anchors: Optional[Tuple[float, float]] = None,
-    eigenvalue: complex = 1j,
     margin: float = DEFAULT_MARGIN,
     max_shells: int = DEFAULT_MAX_SHELLS,
 ) -> ClassificationReport:
@@ -463,9 +463,7 @@ def classify_interval(
             raise AsymptoticsUnavailableError(
                 f"no asymptotic rule applies at endpoint {ep.label()}"
             )
-        return classify_numeric(
-            q, ep, anchor, cfg, eigenvalue=eigenvalue, margin=margin, max_shells=max_shells
-        )
+        return classify_numeric(q, ep, anchor, cfg, margin=margin, max_shells=max_shells)
 
     left = one(left_ep, anchor_left)
     right = one(right_ep, anchor_right)

@@ -10,7 +10,8 @@ convergence tables of the two demonstration sequences, and
 Exit codes: 0 for a conclusive run, 2 when a classification came back
 inconclusive (so pipelines can ask for finer analysis), 1 for errors.
 Reports are deterministic: no timestamps, keys sorted, and every
-numeric default echoed so a report can be reproduced from itself.
+numeric setting echoed (the anchors only when given) so a report can be
+reproduced from itself.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import dataclasses
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import LplcError
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport, EndpointClass, TailReport
     from .odeint import IntegratorConfig
+    from .potentials import Potential
 
 # The subcommands import the modules they use themselves, so a run loads
 # only those (and numpy only when a numeric march or an array needs it).
@@ -47,32 +49,19 @@ def _parse_bound(value, name: str) -> float:
     return float(value)
 
 
-def _converted(value, convert, name: str):
-    """convert(value), failing with a ValueError that names the key.
-
-    JSON booleans are not numbers here, although Python would convert them.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"{name!r} must be a number, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name!r} must be a number, got {value!r}") from None
-
-
 def _config_from(overrides: dict) -> IntegratorConfig:
     from .odeint import IntegratorConfig
+    from .potentials import json_number
 
     known = {f.name for f in dataclasses.fields(IntegratorConfig)}
     unknown = set(overrides) - known - {"margin", "max_shells", "anchor_left", "anchor_right"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in overrides.items() if k in known}
-    for key, value in kwargs.items():
-        if key == "max_steps":
-            kwargs[key] = _converted(value, int, key)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key!r} must be a number, got {value!r}")
+    kwargs = {
+        key: json_number(value, key, integral=key == "max_steps")
+        for key, value in overrides.items()
+        if key in known
+    }
     return IntegratorConfig(**kwargs)
 
 
@@ -102,9 +91,7 @@ def _load_problem(args) -> dict:
     return problem
 
 
-def _tail_dict(tail: Optional[TailReport]) -> Optional[dict]:
-    if tail is None:
-        return None
+def _tail_dict(tail: TailReport) -> dict:
     return {
         "shells": list(tail.shell_integrals),
         "log_shells": list(tail.log_shell_integrals),
@@ -123,19 +110,16 @@ def _endpoint_dict(label: str, cls: EndpointClass) -> dict:
     }
     if cls.origin_coefficient is not None:
         out["origin_coefficient"] = cls.origin_coefficient
-    decisive = _tail_dict(cls.tail)
-    if decisive is not None:
-        out["shells"] = decisive["shells"]
-        out["log_shells"] = decisive["log_shells"]
-        out["fitted_exponent"] = decisive["fitted_exponent"]
-        out["fitted_ratio"] = decisive["fitted_ratio"]
+    if cls.tail is not None:
+        decisive = _tail_dict(cls.tail)
+        out.update((key, decisive[key]) for key in ("shells", "log_shells", "fitted_exponent", "fitted_ratio"))
         out["solutions"] = [_tail_dict(t) for t in cls.tails]
     return out
 
 
-def _classify_report_dict(problem_in: dict, report: ClassificationReport, cfg: IntegratorConfig, engine: str, margin: float, max_shells: int) -> dict:
+def _classify_report_dict(potential: Potential, nl: Optional[Tuple[int, int]], report: ClassificationReport,
+                          cfg: IntegratorConfig, engine: str, settings: dict) -> dict:
     from . import classify as _classify
-    from . import potentials as _pot
 
     def bound_repr(v: float):
         if v == math.inf:
@@ -147,20 +131,17 @@ def _classify_report_dict(problem_in: dict, report: ClassificationReport, cfg: I
     out = {
         "problem": {
             "interval": {"a": bound_repr(report.a), "b": bound_repr(report.b)},
-            "potential": _pot.from_dict(problem_in["potential"]).to_dict(),
+            "potential": potential.to_dict(),
             "engine": engine,
         },
-        "config": dict(
-            dataclasses.asdict(cfg), margin=margin, max_shells=max_shells, probe_eigenvalue=[0.0, 1.0]
-        ),
+        "config": dict(dataclasses.asdict(cfg), probe_eigenvalue=[0.0, 1.0], **settings),
         "endpoints": [
             _endpoint_dict(_classify.Endpoint(report.a, "left").label(), report.left),
             _endpoint_dict(_classify.Endpoint(report.b, "right").label(), report.right),
         ],
     }
-    if "n" in problem_in and "l" in problem_in:
-        out["problem"]["n"] = problem_in["n"]
-        out["problem"]["l"] = problem_in["l"]
+    if nl is not None:
+        out["problem"]["n"], out["problem"]["l"] = nl
     if report.indices is None:
         out["indices"] = None
         out["verdict_global"] = "inconclusive"
@@ -192,21 +173,22 @@ def cmd_classify(args) -> int:
     if not isinstance(overrides, dict):
         raise ValueError(f"'config' must be a JSON object, got {overrides!r}")
     cfg = _config_from(overrides)
-    margin = _converted(overrides.get("margin", _classify.DEFAULT_MARGIN), float, "margin")
-    max_shells = _converted(overrides.get("max_shells", _classify.DEFAULT_MAX_SHELLS), int, "max_shells")
+    margin = float(_pot.json_number(overrides.get("margin", _classify.DEFAULT_MARGIN), "margin"))
+    max_shells = _pot.json_number(overrides.get("max_shells", _classify.DEFAULT_MAX_SHELLS), "max_shells", integral=True)
+    given = {
+        key: float(_pot.json_number(overrides[key], key)) for key in ("anchor_left", "anchor_right") if key in overrides
+    }
     anchors = None
-    if "anchor_left" in overrides or "anchor_right" in overrides:
+    if given:
         defaults = _classify.default_anchor(a, b)
-        anchors = (
-            _converted(overrides.get("anchor_left", defaults[0]), float, "anchor_left"),
-            _converted(overrides.get("anchor_right", defaults[1]), float, "anchor_right"),
-        )
+        anchors = (given.get("anchor_left", defaults[0]), given.get("anchor_right", defaults[1]))
     subject = potential
+    nl = None
     if "n" in problem or "l" in problem:
         if not ("n" in problem and "l" in problem):
             raise ValueError("n and l must be given together")
-        n, l = (_converted(problem[key], int, key) for key in ("n", "l"))
-        subject = _pot.effective_potential(potential, n, l)
+        nl = tuple(_pot.json_number(problem[key], key, integral=True) for key in ("n", "l"))
+        subject = _pot.effective_potential(potential, *nl)
     report = _classify.classify_interval(
         subject,
         a,
@@ -217,7 +199,9 @@ def cmd_classify(args) -> int:
         margin=margin,
         max_shells=max_shells,
     )
-    payload = _classify_report_dict(problem, report, cfg, engine, margin, max_shells)
+    # the settings the report echoes next to cfg's fields: anchors only when given
+    settings = dict(margin=margin, max_shells=max_shells, **given)
+    payload = _classify_report_dict(potential, nl, report, cfg, engine, settings)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
 

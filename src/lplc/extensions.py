@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .errors import SingularRatioError
 from .quadrature import simpson
@@ -166,21 +166,14 @@ def adjoint_ratio(c: float, kind: int) -> complex:
 
 @dataclass(frozen=True)
 class ExtensionDomainElement:
-    """base + z (phi_plus + e^{ic} phi_minus) with base vanishing near 0.
+    """The boundary data at 0 of base + z (phi_plus + e^{ic} phi_minus).
 
-    The base function must vanish near 0, so the boundary condition
-    depends on z and c alone.
+    The base function of the domain vanishes near 0, so the boundary
+    data depend on z and c alone.
     """
 
     z: complex
     c: float
-    base: Optional[Callable[[float], complex]] = None
-
-    def value(self, x: ArrayLike) -> Union[complex, np.ndarray]:
-        phase = cmath.exp(1j * self.c)
-        combo = DeficiencyFunction(1)(x) + phase * DeficiencyFunction(-1)(x)
-        base = self.base(x) if self.base is not None else 0.0
-        return base + self.z * combo
 
     def value_at_zero(self) -> complex:
         return self.z * (1.0 + cmath.exp(1j * self.c))

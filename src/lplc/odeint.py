@@ -26,13 +26,13 @@ into a log-domain total at every rescale, so it never overflows however
 far the column grows or decays. integrate_grid returns one log integral
 per recording interval.
 
-build_grid is the one recording-grid policy. It lays out whole dyadic
-shells of SHELL_POINTS points each: toward a finite target the distance
-to the target halves once per shell, down to cfg.x_min, and toward an
-infinite target |x| doubles once per shell, up to the truncation radius
-cfg.x_max. Inside a shell the points are geometric in that distance, and
-every SHELL_POINTS-th point is exactly a shell edge. A finite target
-where the potential cannot be evaluated is never recorded.
+shell_edges is the one place where the dyadic shells are laid out: toward
+a finite target the distance to the target halves once per shell, down
+to cfg.x_min, and toward an infinite target |x| doubles once per shell,
+up to the truncation radius cfg.x_max. Every edge is an exact float
+d * 2^(+-k), made with math.ldexp. build_grid records a solution on those
+edges and closes the grid at the target when the potential evaluates
+there, or at the truncation radius toward infinity.
 
 Integration is a pure function of its inputs; traces are immutable, so
 independent integrations may run concurrently without shared state.
@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     GridMismatchError,
@@ -62,8 +62,6 @@ if TYPE_CHECKING:
 # numpy is imported inside the functions that build or read arrays, so
 # the stepper and the rest of the package load without it.
 _EPS = sys.float_info.epsilon
-
-SHELL_POINTS = 16  # recording intervals per dyadic shell
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution (FSAL), and stages 6 and 7 share the abscissa x + h.
@@ -110,6 +108,10 @@ class IntegratorConfig:
     x_max: float = 1e4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, int) or math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1000:
@@ -358,68 +360,59 @@ def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
     return 0.1 * span
 
 
-def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:
-    """Recording grid of whole dyadic shells from x_start toward x_end.
+def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[float]:
+    """Exact edges of the whole dyadic shells from x_start toward x_end.
 
-    Toward a finite target at distance d, point j lies at distance
-    d * 2^(-j/SHELL_POINTS) from it, for the whole shells that stay at
-    least cfg.x_min away; the target itself closes the grid when the
-    potential evaluates there. Toward an infinite target,
-    |x| = |x_start| * 2^(j/SHELL_POINTS) for the whole shells inside
-    cfg.x_max, which closes the grid; a start at x <= 0 (in the direction
-    of travel) first runs uniformly up to |x| = 1.
+    Toward a finite target at distance d, edge k lies at distance
+    d * 2^(-k) from it, for the whole shells that stay at least cfg.x_min
+    away. Toward an infinite target, |x| = |x_start| * 2^k for the whole
+    shells inside cfg.x_max; from a start at x <= 0 (in the direction of
+    travel) the shells begin at |x| = 1.
     """
-    import numpy as np
-
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
     if x_start == x_end:
         raise ValueError("x_start and x_end must differ")
     if math.isinf(x_end):
         sign = 1.0 if x_end > 0 else -1.0
-        s0 = sign * x_start
-        if s0 >= cfg.x_max:
+        base = sign * x_start
+        if base >= cfg.x_max:
             raise InsufficientTailError(f"x_start={x_start!r} lies beyond the truncation radius")
-        ramp = np.empty(0)
-        base = s0
-        if s0 <= 0.0:
-            n_ramp = math.ceil((1.0 - s0) / (1.0 - 2.0 ** (-1.0 / SHELL_POINTS)))
-            ramp = np.linspace(s0, 1.0, n_ramp + 1)[:-1]
-            base = 1.0
+        base = base if base > 0.0 else 1.0
         n = max(0, math.floor(math.log2(cfg.x_max / base)))
-        pts = _shell_points(base, n, 1)
-        if pts[-1] < cfg.x_max:
-            pts = np.append(pts, cfg.x_max)
-        return sign * np.concatenate((ramp, pts))
+        return [sign * math.ldexp(base, k) for k in range(n + 1)]
     direction = 1.0 if x_end > x_start else -1.0
     distance = abs(x_end - x_start)
-    try:
-        evaluate(q, x_end)
-        reachable = True
-    except PotentialEvaluationError:
-        reachable = False
     n = max(0, math.floor(math.log2(distance / cfg.x_min)))
-    pts = x_end - direction * _shell_points(distance, n, -1)
-    if reachable:
-        pts = np.append(pts, x_end)
-    elif n == 0:
-        raise InsufficientTailError(
-            f"x_start={x_start!r} lies within one shell of x_end={x_end!r}, where q cannot be evaluated"
-        )
-    return pts
+    return [x_end - direction * math.ldexp(distance, -k) for k in range(n + 1)]
 
 
-def _shell_points(edge: float, n: int, step: int) -> np.ndarray:
-    """Points edge * 2^(step * j / SHELL_POINTS) for j = 0 .. n * SHELL_POINTS.
+def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:
+    """Recording grid: the shell edges from x_start toward x_end and a closing point.
 
-    Each shell is the first one scaled by a power of two, which is exact,
-    so every SHELL_POINTS-th point is exactly edge * 2^(step * k).
+    A finite target closes the grid when the potential evaluates there.
+    Toward an infinite target the truncation radius cfg.x_max closes it,
+    and a start at x <= 0 (in the direction of travel) is recorded before
+    the first shell edge at |x| = 1.
     """
     import numpy as np
 
-    first = edge * 2.0 ** (step * np.arange(SHELL_POINTS) / SHELL_POINTS)
-    shells = np.ldexp(first[None, :], step * np.arange(n + 1)[:, None])
-    return shells.ravel()[: n * SHELL_POINTS + 1]
+    edges = shell_edges(x_start, x_end, cfg)
+    if math.isinf(x_end):
+        if edges[0] != x_start:  # a start at x <= 0
+            edges.insert(0, x_start)
+        if abs(edges[-1]) < cfg.x_max:
+            edges.append(math.copysign(cfg.x_max, x_end))
+        return np.array(edges)
+    try:
+        evaluate(q, x_end)
+        edges.append(x_end)
+    except PotentialEvaluationError:
+        if len(edges) == 1:
+            raise InsufficientTailError(
+                f"x_start={x_start!r} lies within one shell of x_end={x_end!r}, where q cannot be evaluated"
+            ) from None
+    return np.array(edges)
 
 
 def integrate_grid(

@@ -15,10 +15,11 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteError, OutOfRangeError
 
@@ -35,9 +36,6 @@ class Potential:
 
     def _raw(self, x: float) -> float:
         raise NotImplementedError
-
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
 
     def origin_coefficient(self) -> Optional[float]:
         """Limit of x^2 q(x) as x -> 0+, or None when absent/divergent."""
@@ -279,7 +277,7 @@ def from_dict(data: dict) -> Potential:
         if name not in data:
             raise ValueError(f"potential {kind!r} needs a {name!r} field")
         try:
-            kwargs[name] = decode(data[name])
+            kwargs[name] = decode(data[name], name)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"potential {kind!r} has a malformed {name!r} field: {exc}") from None
     return build(**kwargs)
@@ -301,16 +299,39 @@ def _float_samples(values) -> Tuple[float, ...]:
     return tuple(samples.tolist())
 
 
-# type -> (constructor, {field: decoder of the field's JSON value})
+def json_number(value, name: str, *, integral: bool = False):
+    """value as a checked JSON number, or an int when integral; else a ValueError naming it.
+
+    Booleans, strings and null are not numbers, and NaN, the infinities
+    and ints beyond float range are not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+    if integral and value != int(value):
+        raise ValueError(f"{name!r} must be a whole number, got {value!r}")
+    return int(value) if integral else value
+
+
+def _json_real(value, name: str) -> float:
+    return float(json_number(value, name))
+
+
+def _json_reals(values, name: str) -> List[float]:
+    return [_json_real(v, name) for v in values]
+
+
+# type -> (constructor, {field: decoder of the field's JSON value and name})
 _DECODERS = {
     "zero": (Zero, {}),
-    "inverse_square": (InverseSquare, {"c": float}),
-    "coulomb": (Coulomb, {"z": float}),
-    "power_law": (PowerLaw, {"c": float, "p": float}),
-    "harmonic": (Harmonic, {"k": float}),
-    "sum": (Sum, {"terms": lambda terms: [from_dict(t) for t in terms]}),
-    "tabulated": (Tabulated, {"x": _float_samples, "q": _float_samples}),
-    "mirrored": (Mirrored, {"base": from_dict}),
+    "inverse_square": (InverseSquare, {"c": _json_real}),
+    "coulomb": (Coulomb, {"z": _json_real}),
+    "power_law": (PowerLaw, {"c": _json_real, "p": _json_real}),
+    "harmonic": (Harmonic, {"k": _json_real}),
+    "sum": (Sum, {"terms": lambda terms, _: [from_dict(t) for t in terms]}),
+    "tabulated": (Tabulated, {"x": _json_reals, "q": _json_reals}),
+    "mirrored": (Mirrored, {"base": lambda base, _: from_dict(base)}),
 }
 
 

@@ -28,7 +28,7 @@ from lplc.errors import (
     InsufficientTailError,
     MaxStepsExceededError,
 )
-from lplc.odeint import SHELL_POINTS, IntegratorConfig, build_grid
+from lplc.odeint import IntegratorConfig, shell_edges
 from lplc.potentials import (
     Coulomb,
     Harmonic,
@@ -195,10 +195,9 @@ class TestNumericEngine:
         forward = [g for g in grids if g[-1] > g[0]]
         reverse = [g for g in grids if g[-1] < g[0]]
         assert len(forward) >= 4 and len(reverse) == 1
-        shells = build_grid(Zero(), 1.0, math.inf, CFG)
+        edges = shell_edges(1.0, math.inf, CFG)[: len(forward) + 1]
         for k, f in enumerate(forward):
-            assert np.array_equal(f, shells[SHELL_POINTS * k : SHELL_POINTS * (k + 1) + 1 : SHELL_POINTS])
-        edges = shells[: SHELL_POINTS * len(forward) + 1 : SHELL_POINTS]
+            assert np.array_equal(f, edges[k : k + 2])
         assert np.array_equal(reverse[0], edges[::-1])
 
     @pytest.mark.xfail(
@@ -359,3 +358,27 @@ class TestClassifyInterval:
         # the half-line free operator has one-dimensional deficiency spaces
         report = classify_interval(Zero(), 0.0, math.inf, engine="numeric")
         assert report.indices == DeficiencyIndices(1, 1)
+
+    @pytest.mark.parametrize("max_shells", [-5, 0, 3, 5.5])
+    def test_too_few_shells_rejected_before_integrating(self, max_shells):
+        class Counted(Zero):
+            calls = 0
+
+            def _raw(self, x):
+                Counted.calls += 1
+                return 0.0
+
+        with pytest.raises(ValueError, match="max_shells must be an integer of at least 4"):
+            classify_interval(Counted(), 0.0, 1.0, engine="numeric", max_shells=max_shells)
+        assert Counted.calls == 0
+
+    def test_left_infinite_end(self):
+        # the mirror image of the harmonic half line (0, inf): LC at the
+        # regular end 0, LP at -inf
+        report = classify_interval(Harmonic(1.0), -math.inf, 0.0)
+        assert (report.left.verdict, report.right.verdict) == (LP, LC)
+        assert report.indices == DeficiencyIndices(1, 1)
+        mirror = classify_interval(Harmonic(1.0), 0.0, math.inf)
+        assert [t.log_shell_integrals for t in report.left.tails] == [
+            t.log_shell_integrals for t in mirror.right.tails
+        ]

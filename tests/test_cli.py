@@ -37,9 +37,24 @@ MALFORMED_VALUES = [
     ({"config": {"rel_tol": True}}, "rel_tol"),
     ({"config": {"margin": True}}, "margin"),
     ({"n": True}, "n"),
+    ({"config": {"margin": "0.2"}}, "margin"),
+    ({"config": {"max_steps": "2000"}}, "max_steps"),
+    ({"config": {"anchor_left": "0.3"}}, "anchor_left"),
+    ({"config": {"max_shells": 12.7}}, "max_shells"),
+    ({"n": 3.9, "l": 0.5}, "n"),
+    ({"l": 0.5}, "l"),
+    ({"config": {"max_steps": math.inf}}, "max_steps"),
+    ({"config": {"x_max": math.inf}}, "x_max"),
+    ({"config": {"rel_tol": math.nan}}, "rel_tol"),
+    ({"potential": {"type": "inverse_square", "c": "0.75"}}, "c"),
+    ({"potential": {"type": "inverse_square", "c": True}}, "c"),
+    ({"potential": {"type": "tabulated", "x": ["0", "1", "2", "3"], "q": [0, 0, 0, 0]}}, "x"),
 ]
 MALFORMED_VALUE_IDS = ["config-not-an-object", "null-margin", "null-rel-tol", "null-max-shells",
-                       "null-anchor", "null-n", "boolean-rel-tol", "boolean-margin", "boolean-n"]
+                       "null-anchor", "null-n", "boolean-rel-tol", "boolean-margin", "boolean-n",
+                       "string-margin", "string-max-steps", "string-anchor", "fractional-max-shells",
+                       "fractional-n", "fractional-l", "infinite-max-steps", "infinite-x-max",
+                       "nan-rel-tol", "string-c", "boolean-c", "string-table"]
 
 
 def write_spec(tmp_path, spec, name="problem.json"):
@@ -128,11 +143,13 @@ class TestClassifyCommand:
             {"interval": {"a": 0, "b": True}},
             {"config": {"margin": -0.5}},
             {"config": {"margin": 1.0}},
+            {"config": {"max_shells": -5}},
+            {"config": {"max_shells": 3}},
             *(change for change, _ in MALFORMED_VALUES),
         ],
         ids=["missing-field", "terms-not-a-list", "term-not-an-object", "table-not-numbers",
              "type-not-a-string", "null-bound", "list-bound", "boolean-bound", "negative-margin",
-             "unit-margin", *MALFORMED_VALUE_IDS],
+             "unit-margin", "negative-max-shells", "three-max-shells", *MALFORMED_VALUE_IDS],
     )
     def test_malformed_problem_exit_one(self, capsys, tmp_path, change):
         path = write_spec(tmp_path, dict(FREE_HALF_LINE, **change))
@@ -187,6 +204,41 @@ class TestClassifyCommand:
         report = json.loads(out)
         assert report["config"]["rel_tol"] == 1e-8
         assert all(e["engine"] == "numeric" for e in report["endpoints"])
+
+    def test_whole_numbers_echo_as_the_ints_used(self, capsys, tmp_path):
+        spec = dict(FREE_HALF_LINE, n=3.0, l=1.0, config={"max_shells": 8.0, "x_max": 1000})
+        code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["problem"]["n"], report["problem"]["l"]) == (3, 1)
+        assert '"n": 3,' in out and '"max_shells": 8,' in out and '"x_max": 1000,' in out
+
+    def test_given_anchors_are_echoed_and_reproduce_the_report(self, capsys, tmp_path):
+        spec = {
+            "interval": {"a": 0, "b": 1},
+            "potential": {"type": "inverse_square", "c": 0.5},
+            "engine": "numeric",
+            "config": {"anchor_left": 0.3},
+        }
+        code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["anchor_left"] == 0.3 and "anchor_right" not in config
+        # probe_eigenvalue is reported, not a setting
+        again = dict(spec, config={k: v for k, v in config.items() if k != "probe_eigenvalue"})
+        code, out_again, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, again)])
+        assert code == 0 and out_again == out
+        _, default_out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, dict(spec, config={}))])
+        assert "anchor_left" not in json.loads(default_out)["config"]
+
+    def test_left_infinite_bound(self, capsys, tmp_path):
+        spec = {"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "harmonic", "k": 1.0}}
+        code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["indices"] == [0, 0]
+        assert report["problem"]["interval"] == {"a": "-inf", "b": "inf"}
+        assert [e["endpoint"] for e in report["endpoints"]] == ["-inf", "inf"]
 
     def test_config_echoes_every_default(self, capsys, tmp_path):
         path = write_spec(tmp_path, FREE_HALF_LINE)

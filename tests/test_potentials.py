@@ -216,6 +216,24 @@ class TestJsonCodec:
         q = loads('{"type": "inverse_square", "c": 0.75}')
         assert q == InverseSquare(0.75)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "inverse_square", "c": "0.75"},
+            {"type": "inverse_square", "c": True},
+            {"type": "inverse_square", "c": None},
+            {"type": "inverse_square", "c": math.inf},
+            {"type": "inverse_square", "c": 10**400},
+            {"type": "power_law", "c": 1.0, "p": math.nan},
+            {"type": "tabulated", "x": ["0", "1", "2", "3"], "q": [0, 0, 0, 0]},
+            {"type": "tabulated", "x": [0, 1, 2, 3], "q": [0, False, 0, 0]},
+            {"type": "tabulated", "x": "0123", "q": [0, 0, 0, 0]},
+        ],
+    )
+    def test_fields_must_be_finite_json_numbers(self, data):
+        with pytest.raises(ValueError, match="must be a"):
+            from_dict(data)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             from_dict({"type": "morse"})

@@ -15,13 +15,13 @@ import pytest
 
 from lplc.classify import classify_interval
 from lplc.odeint import (
-    SHELL_POINTS,
     ComplexState,
     IntegratorConfig,
     SolutionTrace,
     build_grid,
     concatenate_traces,
     integrate_grid,
+    shell_edges,
 )
 from lplc.potentials import Coulomb, InverseSquare, Zero
 
@@ -85,8 +85,8 @@ def test_numeric_engine_shells_match_closed_form():
 
 
 def test_integrate_grid_intervals_match_closed_form():
-    edges = build_grid(Zero(), 1.0, math.inf, CFG)[::SHELL_POINTS][:5]
-    assert edges.tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
+    edges = shell_edges(1.0, math.inf, CFG)[:5]
+    assert edges == [1.0, 2.0, 4.0, 8.0, 16.0]
     trace = integrate_grid(Zero(), 1j, edges, PAIR, CFG)
     assert trace.log_square_integrals.shape == (4, 2)
     for i in range(4):
@@ -106,7 +106,7 @@ def test_integrals_do_not_depend_on_rescale_band(q, l, x0, target, n_shells):
     logs = []
     for band in (2.0, 100.0):
         cfg = IntegratorConfig(rescale_band=band)
-        edges = build_grid(q, x0, target, cfg)[: SHELL_POINTS * n_shells + 1 : SHELL_POINTS]
+        edges = shell_edges(x0, target, cfg)[: n_shells + 1]
         logs.append(integrate_grid(q, l, edges, PAIR, cfg).log_square_integrals)
     assert np.all(np.isfinite(logs[0]))
     assert np.max(np.abs(logs[0] - logs[1])) < 1e-9
