@@ -81,14 +81,12 @@ _EXPORTS = {
         "effective_potential",
         "evaluate",
         "lambda_nl",
-        "origin_coefficient",
         "rho_nl",
     ),
     "sobolev": (
         "BumpTest",
         "SampledFunction",
         "W21Report",
-        "antiderivative",
         "antiderivative_samples",
         "check_fundamental_theorem",
         "check_weak_derivative",

@@ -32,7 +32,7 @@ and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,7 +42,7 @@ from .errors import (
     InsufficientTailError,
 )
 from .odeint import ComplexState, IntegratorConfig, _Stepper, shell_edges
-from .potentials import EffectiveProblem, Mirrored, Potential
+from .potentials import EffectiveProblem, Potential
 
 # perfbench/tracer.py wraps these three by module attribute, so
 # classify_numeric calls integrate_grid through this module.
@@ -63,6 +63,13 @@ class EndpointVerdict(Enum):
     LIMIT_POINT = "LP"
     LIMIT_CIRCLE = "LC"
     INCONCLUSIVE = "inconclusive"
+
+
+_VERDICT_OF_STATUS = {
+    "divergent": EndpointVerdict.LIMIT_POINT,
+    "convergent": EndpointVerdict.LIMIT_CIRCLE,
+    "inconclusive": EndpointVerdict.INCONCLUSIVE,
+}
 
 
 class Engine(Enum):
@@ -110,13 +117,10 @@ class TailReport:
     log_shell_integrals: Tuple[float, ...]
     fitted_exponent: float
     margin: float
-    solution_index: int
 
     def __post_init__(self):
         if len(self.log_shell_integrals) < 4:
             raise InsufficientTailError("need at least 4 dyadic shells")
-        if self.solution_index not in (1, 2):
-            raise ValueError("solution_index must be 1 or 2")
 
     @property
     def shell_integrals(self) -> Tuple[float, ...]:
@@ -135,23 +139,33 @@ class TailReport:
 class EndpointClass:
     """Verdict for one endpoint, with the engine that produced it.
 
-    `tail` is the report that decided a numeric verdict (the divergent
-    one for LP, the slowest-decaying one for LC); `tails` keeps the full
-    set. Asymptotic verdicts carry no tail reports.
+    `tails` holds one report per spanning solution of a numeric verdict,
+    the dominant one first at an infinite endpoint. Asymptotic verdicts
+    carry no tail reports.
     """
 
     verdict: EndpointVerdict
     engine: Engine
-    tail: Optional[TailReport] = None
     tails: Tuple[TailReport, ...] = ()
     origin_coefficient: Optional[float] = None
 
     def __post_init__(self):
         if self.engine is Engine.ASYMPTOTIC:
-            if self.tail is not None or self.tails:
+            if self.tails:
                 raise ValueError("asymptotic verdicts carry no tail report")
             if self.verdict is EndpointVerdict.INCONCLUSIVE:
                 raise ValueError("the asymptotic engine is never inconclusive")
+
+    @property
+    def tail(self) -> Optional[TailReport]:
+        """The report that decided the verdict, or None without tails.
+
+        For LC the slowest-decaying tail, otherwise the first tail whose
+        status gives the verdict (the divergent one for LP).
+        """
+        if self.verdict is EndpointVerdict.LIMIT_CIRCLE and self.tails:
+            return max(self.tails, key=lambda r: r.fitted_exponent)
+        return next((r for r in self.tails if _VERDICT_OF_STATUS[r.status] is self.verdict), None)
 
 
 @dataclass(frozen=True)
@@ -278,8 +292,7 @@ def classify_numeric(
     are not chased across the whole range. Toward an infinite endpoint
     the anchor must lie on the endpoint's side of 0, and the subdominant
     solution is recovered by one reverse integration from the last shell
-    reached, which suppresses contamination by the growing mode. A
-    left-infinite endpoint is classified on the mirror image x -> -x.
+    reached, which suppresses contamination by the growing mode.
     """
     _check_margin(margin)
     if not (isinstance(max_shells, int) and max_shells >= DEFAULT_MIN_SHELLS):
@@ -289,8 +302,6 @@ def classify_numeric(
         side = "positive" if endpoint.position > 0.0 else "negative"
         raise ValueError(f"anchor must be {side} toward {endpoint.label()}, got {anchor!r}")
     edges = shell_edges(anchor, endpoint.position, cfg)[: max_shells + 1]
-    if endpoint.position == -math.inf:
-        q, edges = Mirrored(q), [-x for x in edges]
     n_shells = len(edges) - 1
     if n_shells < DEFAULT_MIN_SHELLS:
         raise InsufficientTailError(
@@ -310,53 +321,27 @@ def classify_numeric(
         states = [col.final_state for col in columns]
         if any(_decisively_divergent(logs) for logs in shell_logs):
             break
-    reports = [_tail_report(logs, index, margin) for index, logs in enumerate(shell_logs, start=1)]
+    reports = [_tail_report(logs, margin) for logs in shell_logs]
     if endpoint.is_infinite:
         # Keep the more divergent forward report as the dominant-solution
-        # evidence and replace the other by the subdominant tail, recovered
+        # evidence and swap the other for the subdominant tail, recovered
         # by one backward integration across every shell the forward march
         # reached: backward in x the solution that decays toward infinity
         # is the growing one, so any seed relaxes onto it away from the
         # start point.
-        dominant = replace(max(reports, key=lambda r: r.fitted_exponent), solution_index=1)
+        dominant = max(reports, key=lambda r: r.fitted_exponent)
         reached = len(shell_logs[0])
         back = integrate_grid(
             q, eigenvalue, edges[reached::-1], ComplexState(1.0, 0.0), cfg, _stepper=stepper
         )
         rev_logs = back.log_square_integrals[::-1].tolist()  # order shells toward the endpoint
-        reports = [dominant, _tail_report(rev_logs, 2, margin)]
-    return _compose_endpoint_class(reports)
-
-
-def _tail_report(logs: Sequence[float], index: int, margin: float) -> TailReport:
-    return TailReport(
-        log_shell_integrals=tuple(logs),
-        fitted_exponent=fit_shell_exponent(logs),
-        margin=margin,
-        solution_index=index,
-    )
-
-
-_VERDICT_OF_STATUS = {
-    "divergent": EndpointVerdict.LIMIT_POINT,
-    "convergent": EndpointVerdict.LIMIT_CIRCLE,
-    "inconclusive": EndpointVerdict.INCONCLUSIVE,
-}
-
-
-def _compose_endpoint_class(reports: List[TailReport]) -> EndpointClass:
-    """The joint verdict; its tail is the first with the joint status (LC: the slowest decay)."""
+        reports = [dominant, _tail_report(rev_logs, margin)]
     status = joint_status([r.status for r in reports])
-    if status == "convergent":
-        decisive = max(reports, key=lambda r: r.fitted_exponent)
-    else:
-        decisive = next(r for r in reports if r.status == status)
-    return EndpointClass(
-        verdict=_VERDICT_OF_STATUS[status],
-        engine=Engine.NUMERIC,
-        tail=decisive,
-        tails=tuple(reports),
-    )
+    return EndpointClass(verdict=_VERDICT_OF_STATUS[status], engine=Engine.NUMERIC, tails=tuple(reports))
+
+
+def _tail_report(logs: Sequence[float], margin: float) -> TailReport:
+    return TailReport(log_shell_integrals=tuple(logs), fitted_exponent=fit_shell_exponent(logs), margin=margin)
 
 
 def deficiency_indices(class_left: EndpointClass, class_right: EndpointClass) -> DeficiencyIndices:

@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
+_PROBE_EIGENVALUE = [0.0, 1.0]  # the probe i as [re, im], echoed under a report's config
+
 
 def _parse_bound(value, name: str) -> float:
     if value == "inf":
@@ -54,9 +56,12 @@ def _config_from(overrides: dict) -> IntegratorConfig:
     from .potentials import json_number
 
     known = {f.name for f in dataclasses.fields(IntegratorConfig)}
-    unknown = set(overrides) - known - {"margin", "max_shells", "anchor_left", "anchor_right"}
+    unknown = set(overrides) - known - {"margin", "max_shells", "anchor_left", "anchor_right", "probe_eigenvalue"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    probe = overrides.get("probe_eigenvalue", _PROBE_EIGENVALUE)
+    if probe != _PROBE_EIGENVALUE or any(isinstance(v, bool) for v in probe):
+        raise ValueError(f"'probe_eigenvalue' must be {_PROBE_EIGENVALUE}, the probe every run uses, got {probe!r}")
     kwargs = {
         key: json_number(value, key, integral=key == "max_steps")
         for key, value in overrides.items()
@@ -98,7 +103,6 @@ def _tail_dict(tail: TailReport) -> dict:
         "fitted_exponent": tail.fitted_exponent,
         "fitted_ratio": tail.fitted_ratio,
         "margin": tail.margin,
-        "solution_index": tail.solution_index,
     }
 
 
@@ -113,7 +117,7 @@ def _endpoint_dict(label: str, cls: EndpointClass) -> dict:
     if cls.tail is not None:
         decisive = _tail_dict(cls.tail)
         out.update((key, decisive[key]) for key in ("shells", "log_shells", "fitted_exponent", "fitted_ratio"))
-        out["solutions"] = [_tail_dict(t) for t in cls.tails]
+        out["solutions"] = [dict(_tail_dict(t), solution_index=i) for i, t in enumerate(cls.tails, start=1)]
     return out
 
 
@@ -134,7 +138,7 @@ def _classify_report_dict(potential: Potential, nl: Optional[Tuple[int, int]], r
             "potential": potential.to_dict(),
             "engine": engine,
         },
-        "config": dict(dataclasses.asdict(cfg), probe_eigenvalue=[0.0, 1.0], **settings),
+        "config": dict(dataclasses.asdict(cfg), probe_eigenvalue=_PROBE_EIGENVALUE, **settings),
         "endpoints": [
             _endpoint_dict(_classify.Endpoint(report.a, "left").label(), report.left),
             _endpoint_dict(_classify.Endpoint(report.b, "right").label(), report.right),
@@ -288,19 +292,12 @@ def cmd_extensions(args) -> int:
         c = float(args.c)
         if not 0.0 <= c < 2.0 * math.pi:
             raise ValueError("c must lie in [0, 2*pi)")
-        rows = [_extension_row(c)]
-        fmt = args.output or "json"
+        print(json.dumps(_extension_row(c), indent=2, sort_keys=True))
     else:
         grid = _parse_sweep(args.sweep)
         if any(c < 0.0 or c >= 2.0 * math.pi for c in grid):
             raise ValueError("sweep values must lie in [0, 2*pi)")
-        rows = [_extension_row(c) for c in grid]
-        fmt = args.output or "csv"
-    if fmt == "json":
-        payload = rows[0] if args.c is not None else rows
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _extension_csv(rows)
+        _extension_csv([_extension_row(c) for c in grid])
     return EXIT_OK
 
 
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extensions", help="boundary conditions of the extension family")
     p_ext.add_argument("--c", type=float, help="extension parameter in [0, 2*pi)")
     p_ext.add_argument("--sweep", help="c grid as start:stop:count, emitted as CSV")
-    p_ext.add_argument("--output", choices=["json", "csv"], help="inferred from --c/--sweep")
     p_ext.set_defaults(func=cmd_extensions)
 
     p_demo = sub.add_parser("regularity-demo", help="convergence tables of the demo sequences")

@@ -29,8 +29,9 @@ per recording interval.
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
 to cfg.x_min, and toward an infinite target |x| doubles once per shell,
-up to the truncation radius cfg.x_max. Every edge is an exact float
-d * 2^(+-k), made with math.ldexp. build_grid records a solution on those
+up to the truncation radius cfg.x_max. The first edge is the start
+itself, and the others are made from the exact floats d * 2^(+-k), with
+math.ldexp. build_grid records a solution on those
 edges and closes the grid at the target when the potential evaluates
 there, or at the truncation radius toward infinity.
 
@@ -363,9 +364,9 @@ def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
 def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[float]:
     """Exact edges of the whole dyadic shells from x_start toward x_end.
 
-    Toward a finite target at distance d, edge k lies at distance
-    d * 2^(-k) from it, for the whole shells that stay at least cfg.x_min
-    away. Toward an infinite target, |x| = |x_start| * 2^k for the whole
+    Toward a finite target at distance d, edge 0 is x_start itself and
+    edge k >= 1 lies at distance d * 2^(-k) from the target, for the
+    whole shells that stay at least cfg.x_min away. Toward an infinite target, |x| = |x_start| * 2^k for the whole
     shells inside cfg.x_max; from a start at x <= 0 (in the direction of
     travel) the shells begin at |x| = 1.
     """
@@ -384,7 +385,7 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
     direction = 1.0 if x_end > x_start else -1.0
     distance = abs(x_end - x_start)
     n = max(0, math.floor(math.log2(distance / cfg.x_min)))
-    return [x_end - direction * math.ldexp(distance, -k) for k in range(n + 1)]
+    return [x_start] + [x_end - direction * math.ldexp(distance, -k) for k in range(1, n + 1)]
 
 
 def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:

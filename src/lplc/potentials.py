@@ -226,7 +226,7 @@ class Tabulated(Potential):
 
 @dataclass(frozen=True)
 class Mirrored(Potential):
-    """q(-x); used internally to classify left-infinite endpoints."""
+    """q(-x)."""
 
     base: Potential
 
@@ -335,10 +335,6 @@ _DECODERS = {
 }
 
 
-def loads(text: str) -> Potential:
-    return from_dict(json.loads(text))
-
-
 def rho_nl_exact(n: int, l: int) -> Fraction:
     """Centrifugal coefficient (n-1)(n-3)/4 + l(l+n-2) in exact arithmetic."""
     if not (isinstance(n, int) and isinstance(l, int)):
@@ -396,8 +392,3 @@ def effective_potential(V: Potential, n: int, l: int) -> EffectiveProblem:
     else:
         q_eff = Sum((V, InverseSquare(rho)))
     return EffectiveProblem(n=n, l=l, base=V, rho=rho, q_eff=q_eff)
-
-
-def origin_coefficient(q: Potential) -> Optional[float]:
-    """Exact limit of x^2 q(x) at the origin, or None when unavailable."""
-    return q.origin_coefficient()

@@ -149,13 +149,6 @@ def check_weak_derivative(
     return worst
 
 
-def antiderivative(g: SampledFunction, y0: float, x: float) -> float:
-    """Cumulative trapezoid integral of g from grid point y0 to grid point x."""
-    i, j = g.index_of(y0), g.index_of(x)
-    cum = cumulative_trapezoid(g.values, g.grid)
-    return float((cum[j] - cum[i]).real if np.iscomplexobj(cum) else cum[j] - cum[i])
-
-
 def antiderivative_samples(g: SampledFunction, y0: float) -> SampledFunction:
     """The running integral of g as a SampledFunction with derivative g."""
     i = g.index_of(y0)

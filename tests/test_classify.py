@@ -33,6 +33,7 @@ from lplc.potentials import (
     Coulomb,
     Harmonic,
     InverseSquare,
+    Mirrored,
     PowerLaw,
     Tabulated,
     Zero,
@@ -97,14 +98,14 @@ class TestSquareIntegrableTail:
 class TestTailReport:
     def test_shell_integrals_derive_from_the_logs(self):
         logs = (-3.0, 0.0, 709.0, 709.8, 800.0)
-        report = TailReport(log_shell_integrals=logs, fitted_exponent=1.0, margin=DEFAULT_MARGIN, solution_index=1)
+        report = TailReport(log_shell_integrals=logs, fitted_exponent=1.0, margin=DEFAULT_MARGIN)
         assert report.shell_integrals == tuple(_safe_exp(v) for v in logs)
         assert math.isfinite(report.shell_integrals[2])
         assert report.shell_integrals[3:] == (math.inf, math.inf)  # beyond float range
 
     def test_fewer_than_four_shells_rejected(self):
         with pytest.raises(InsufficientTailError):
-            TailReport(log_shell_integrals=(0.0, 1.0, 2.0), fitted_exponent=1.0, margin=DEFAULT_MARGIN, solution_index=1)
+            TailReport(log_shell_integrals=(0.0, 1.0, 2.0), fitted_exponent=1.0, margin=DEFAULT_MARGIN)
 
 
 class TestAsymptoticEngine:
@@ -140,7 +141,7 @@ class TestNumericEngine:
         assert cls.engine is Engine.NUMERIC
         assert cls.tail is not None and cls.tail.status == "divergent"
         # the reverse-recovered subdominant tail is square integrable
-        sub = [t for t in cls.tails if t.solution_index == 2][0]
+        sub = cls.tails[1]
         assert sub.status == "convergent"
 
     def test_free_at_regular_origin_limit_circle(self):
@@ -160,6 +161,23 @@ class TestNumericEngine:
     def test_minus_infinity_mirrors(self):
         cls = classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, CFG)
         assert cls.verdict is LP
+
+    @pytest.mark.parametrize("q", [Harmonic(1.0), PowerLaw(1.0, 1.0), Zero()], ids=lambda q: q.dumps())
+    def test_minus_infinity_march_equals_the_mirror_image(self, q):
+        # x -> -x maps the march toward -inf onto the one toward +inf
+        # with every product and sum negated, which rounds the same
+        def bits(cls):
+            return cls.verdict, [
+                ([v.hex() for v in t.log_shell_integrals], t.fitted_exponent.hex()) for t in cls.tails
+            ]
+
+        left = classify_numeric(q, Endpoint(-math.inf, "left"), -1.0, CFG)
+        mirrored = classify_numeric(Mirrored(q), PLUS_INF, 1.0, CFG)
+        assert bits(left) == bits(mirrored)
+
+    def test_step_budget_error_names_the_callers_x_toward_minus_infinity(self):
+        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x=-\d"):
+            classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, IntegratorConfig(max_steps=1000))
 
     @pytest.mark.parametrize(
         "endpoint, anchor, error, message",

@@ -49,12 +49,15 @@ MALFORMED_VALUES = [
     ({"potential": {"type": "inverse_square", "c": "0.75"}}, "c"),
     ({"potential": {"type": "inverse_square", "c": True}}, "c"),
     ({"potential": {"type": "tabulated", "x": ["0", "1", "2", "3"], "q": [0, 0, 0, 0]}}, "x"),
+    ({"config": {"probe_eigenvalue": [1.0, 0.0]}}, "probe_eigenvalue"),
+    ({"config": {"probe_eigenvalue": [False, True]}}, "probe_eigenvalue"),
 ]
 MALFORMED_VALUE_IDS = ["config-not-an-object", "null-margin", "null-rel-tol", "null-max-shells",
                        "null-anchor", "null-n", "boolean-rel-tol", "boolean-margin", "boolean-n",
                        "string-margin", "string-max-steps", "string-anchor", "fractional-max-shells",
                        "fractional-n", "fractional-l", "infinite-max-steps", "infinite-x-max",
-                       "nan-rel-tol", "string-c", "boolean-c", "string-table"]
+                       "nan-rel-tol", "string-c", "boolean-c", "string-table", "other-probe-eigenvalue",
+                       "boolean-probe-eigenvalue"]
 
 
 def write_spec(tmp_path, spec, name="problem.json"):
@@ -224,12 +227,26 @@ class TestClassifyCommand:
         assert code == 0
         config = json.loads(out)["config"]
         assert config["anchor_left"] == 0.3 and "anchor_right" not in config
-        # probe_eigenvalue is reported, not a setting
-        again = dict(spec, config={k: v for k, v in config.items() if k != "probe_eigenvalue"})
+        again = dict(spec, config=config)
         code, out_again, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, again)])
         assert code == 0 and out_again == out
         _, default_out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, dict(spec, config={}))])
         assert "anchor_left" not in json.loads(default_out)["config"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(FREE_HALF_LINE, config={"rel_tol": 1e-8, "anchor_right": 2.0}),
+            {"interval": {"a": "-inf", "b": -1}, "potential": {"type": "power_law", "c": 1.0, "p": 1.0}},
+        ],
+        ids=["half-line", "left-infinite"],
+    )
+    def test_report_problem_and_config_reproduce_the_report(self, capsys, tmp_path, spec):
+        code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        report = json.loads(out)
+        again = dict(report["problem"], config=report["config"])
+        code_again, out_again, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, again)])
+        assert (code_again, out_again) == (code, out)
 
     def test_left_infinite_bound(self, capsys, tmp_path):
         spec = {"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "harmonic", "k": 1.0}}
@@ -306,17 +323,6 @@ class TestExtensionsCommand:
         code, _, err = run(capsys, ["extensions", "--c", "6.5"])
         assert code == 1
         assert "2*pi" in err or "range" in err
-
-    def test_output_format_override(self, capsys):
-        code, out, _ = run(capsys, ["extensions", "--c", "0", "--output", "csv"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("c,re_alpha")
-        assert len(lines) == 2
-        code, out, _ = run(capsys, ["extensions", "--sweep", "0:1:3", "--output", "json"])
-        assert code == 0
-        rows = json.loads(out)
-        assert isinstance(rows, list) and len(rows) == 3
 
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(capsys, ["extensions"])

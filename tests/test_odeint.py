@@ -17,6 +17,7 @@ from lplc.odeint import (
     fundamental_pair,
     green_identity_residual,
     integrate_grid,
+    shell_edges,
     wronskian_values,
 )
 from lplc.potentials import Coulomb, InverseSquare, Potential, PowerLaw, Sum, Zero
@@ -117,8 +118,14 @@ class TestGrids:
         sign = 1.0 if x_start > x_end else -1.0
         edges = grid[:-1]
         assert edges.size > 20
-        for k, edge in enumerate(edges):
+        assert edges[0] == x_start
+        for k, edge in enumerate(edges[1:], start=1):
             assert edge == x_end + sign * d * 2.0**-k, k
+
+    def test_first_edge_is_the_start_itself(self):
+        # 1.0 - (1.0 - 0.3) is 0.30000000000000004, one ulp off the start
+        assert shell_edges(0.3, 1.0, CFG)[0] == 0.3
+        assert fundamental_pair(Zero(), 1j, 0.3, 1.0, CFG)[0].x[0] == 0.3
 
     @pytest.mark.parametrize("x_start, x_end", [(1.5, math.inf), (-1.5, -math.inf), (0.3, math.inf)])
     def test_every_shell_edge_is_exact_toward_infinity(self, x_start, x_end):

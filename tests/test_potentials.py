@@ -19,8 +19,6 @@ from lplc.potentials import (
     evaluate,
     from_dict,
     lambda_nl,
-    loads,
-    origin_coefficient,
     rho_nl,
 )
 
@@ -142,24 +140,24 @@ class TestInvariants:
 
 class TestOriginCoefficient:
     def test_inverse_square_exact(self):
-        assert origin_coefficient(InverseSquare(0.75)) == 0.75
+        assert InverseSquare(0.75).origin_coefficient() == 0.75
 
     def test_coulomb_vanishes(self):
-        assert origin_coefficient(Coulomb(-5.0)) == 0.0
+        assert Coulomb(-5.0).origin_coefficient() == 0.0
 
     def test_strong_singularity_absent(self):
-        assert origin_coefficient(PowerLaw(1.0, -3.0)) is None
+        assert PowerLaw(1.0, -3.0).origin_coefficient() is None
 
     def test_borderline_power(self):
-        assert origin_coefficient(PowerLaw(2.5, -2.0)) == 2.5
+        assert PowerLaw(2.5, -2.0).origin_coefficient() == 2.5
 
     def test_sum_propagates_absent(self):
-        assert origin_coefficient(Sum([Zero(), PowerLaw(1.0, -3.0)])) is None
-        assert origin_coefficient(Sum([InverseSquare(1.0), Coulomb(2.0)])) == 1.0
+        assert Sum([Zero(), PowerLaw(1.0, -3.0)]).origin_coefficient() is None
+        assert Sum([InverseSquare(1.0), Coulomb(2.0)]).origin_coefficient() == 1.0
 
     def test_tabulated_absent(self):
         q = Tabulated([0.1, 0.2, 0.3, 0.4], [1.0, 1.0, 1.0, 1.0])
-        assert origin_coefficient(q) is None
+        assert q.origin_coefficient() is None
 
 
 class TestEffectivePotential:
@@ -181,7 +179,7 @@ class TestEffectivePotential:
         for n in range(1, 8):
             for l in range(0, 6):
                 ep = effective_potential(Zero(), n, l)
-                assert origin_coefficient(ep.q_eff) == ep.rho == rho_nl(n, l)
+                assert ep.q_eff.origin_coefficient() == ep.rho == rho_nl(n, l)
 
 
 class TestJsonCodec:
@@ -200,7 +198,7 @@ class TestJsonCodec:
     )
     def test_round_trip(self, q):
         assert from_dict(q.to_dict()) == q
-        assert loads(q.dumps()) == q
+        assert from_dict(json.loads(q.dumps())) == q
 
     def test_canonical_field_names(self):
         assert InverseSquare(0.75).to_dict() == {"type": "inverse_square", "c": 0.75}
@@ -213,7 +211,7 @@ class TestJsonCodec:
         }
 
     def test_decode_example(self):
-        q = loads('{"type": "inverse_square", "c": 0.75}')
+        q = from_dict(json.loads('{"type": "inverse_square", "c": 0.75}'))
         assert q == InverseSquare(0.75)
 
     @pytest.mark.parametrize(
