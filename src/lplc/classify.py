@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     AsymptoticsUnavailableError,
@@ -107,20 +107,24 @@ class TailReport:
     """Square-integrability evidence for one solution near one endpoint.
 
     log_shell_integrals[k] holds the log of the integral of |y|^2 over
-    the k-th dyadic shell, ordered toward the endpoint; shell_integrals
-    gives the values themselves, which may overflow to inf.
-    fitted_exponent is the slope of log I_k against k; the per-shell
-    ratio is its exponential, and `status` reads it against a guard band
-    of width `margin` around ratio 1.
+    the k-th dyadic shell, ordered toward the endpoint, and the rest is
+    derived: shell_integrals (which may overflow to inf), fitted_exponent
+    (fit_shell_exponent of the logs), the per-shell ratio exp of it, and
+    `status`, which reads that ratio against a guard band of width
+    `margin` around ratio 1.
     """
 
     log_shell_integrals: Tuple[float, ...]
-    fitted_exponent: float
     margin: float
 
     def __post_init__(self):
+        _check_margin(self.margin)
         if len(self.log_shell_integrals) < 4:
             raise InsufficientTailError("need at least 4 dyadic shells")
+
+    @property
+    def fitted_exponent(self) -> float:
+        return fit_shell_exponent(self.log_shell_integrals)
 
     @property
     def shell_integrals(self) -> Tuple[float, ...]:
@@ -194,21 +198,23 @@ class SelfAdjointness:
 
 
 def fit_shell_exponent(log_integrals: Sequence[float]) -> float:
-    """Least-squares slope of log I_k against k over the last DEFAULT_FIT_WINDOW shells."""
-    import numpy as np
+    """Least-squares slope of log I_k against k over the last DEFAULT_FIT_WINDOW shells.
 
-    logs = np.asarray(log_integrals, dtype=float)
-    if logs.size < 2:
+    With the integer weights w_k = 2 (k - k_mean) the slope is
+    2 sum w_k y_k / sum w_k^2; fsum over y_k repeated |w_k| times rounds
+    the numerator once, so the slope is within two roundings of exact.
+    """
+    if len(log_integrals) < 2:
         raise InsufficientTailError("need at least two shells to fit")
-    tail = logs[-DEFAULT_FIT_WINDOW:]
-    if np.all(tail <= _ZERO_FLOOR):
+    tail = log_integrals[-DEFAULT_FIT_WINDOW:]
+    if all(v <= _ZERO_FLOOR for v in tail):
         return -math.inf
-    if np.any(np.isinf(tail)):
+    if any(math.isinf(v) for v in tail):
         # a vanishing shell among finite ones: treat as super-geometric decay
         return -math.inf if tail[-1] <= _ZERO_FLOOR else math.inf
-    k = np.arange(tail.size, dtype=float)
-    slope = np.polyfit(k, tail, 1)[0]
-    return float(slope)
+    weights = [2 * k - (len(tail) - 1) for k in range(len(tail))]
+    total = math.fsum(y if w > 0 else -y for y, w in zip(tail, weights) for _ in range(abs(w)))
+    return 2.0 * total / sum(w * w for w in weights)
 
 
 def _safe_exp(v: float) -> float:
@@ -246,14 +252,17 @@ def _check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
 
 
-def classify_asymptotic(problem: EffectiveProblem) -> EndpointClass:
+def classify_asymptotic(q: Union[Potential, EffectiveProblem]) -> EndpointClass:
     """Exact origin classification from the 1/x^2 coefficient of the potential.
 
+    q may be a Potential or an EffectiveProblem (whose q_eff is used).
     Limit point iff the coefficient is >= 3/4 (the threshold itself is
     limit point). Raises AsymptoticsUnavailableError when the potential
     carries no exact origin coefficient.
     """
-    coeff = problem.q_eff.origin_coefficient()
+    if isinstance(q, EffectiveProblem):
+        q = q.q_eff
+    coeff = q.origin_coefficient()
     if coeff is None:
         raise AsymptoticsUnavailableError(
             "potential has no exact origin coefficient; use the numeric engine"
@@ -321,7 +330,7 @@ def classify_numeric(
         states = [col.final_state for col in columns]
         if any(_decisively_divergent(logs) for logs in shell_logs):
             break
-    reports = [_tail_report(logs, margin) for logs in shell_logs]
+    reports = [TailReport(tuple(logs), margin) for logs in shell_logs]
     if endpoint.is_infinite:
         # Keep the more divergent forward report as the dominant-solution
         # evidence and swap the other for the subdominant tail, recovered
@@ -335,13 +344,9 @@ def classify_numeric(
             q, eigenvalue, edges[reached::-1], ComplexState(1.0, 0.0), cfg, _stepper=stepper
         )
         rev_logs = back.log_square_integrals[::-1].tolist()  # order shells toward the endpoint
-        reports = [dominant, _tail_report(rev_logs, margin)]
+        reports = [dominant, TailReport(tuple(rev_logs), margin)]
     status = joint_status([r.status for r in reports])
     return EndpointClass(verdict=_VERDICT_OF_STATUS[status], engine=Engine.NUMERIC, tails=tuple(reports))
-
-
-def _tail_report(logs: Sequence[float], margin: float) -> TailReport:
-    return TailReport(log_shell_integrals=tuple(logs), fitted_exponent=fit_shell_exponent(logs), margin=margin)
 
 
 def deficiency_indices(class_left: EndpointClass, class_right: EndpointClass) -> DeficiencyIndices:
@@ -363,18 +368,24 @@ def verdict(d: DeficiencyIndices) -> SelfAdjointness:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Both endpoint verdicts with their composition, ready to serialize."""
+    """Both endpoint verdicts and their composition (None if either is inconclusive)."""
 
     a: float
     b: float
     left: EndpointClass
     right: EndpointClass
-    indices: Optional[DeficiencyIndices]
-    self_adjointness: Optional[SelfAdjointness]
 
     @property
     def inconclusive(self) -> bool:
-        return self.indices is None
+        return EndpointVerdict.INCONCLUSIVE in (self.left.verdict, self.right.verdict)
+
+    @property
+    def indices(self) -> Optional[DeficiencyIndices]:
+        return None if self.inconclusive else deficiency_indices(self.left, self.right)
+
+    @property
+    def self_adjointness(self) -> Optional[SelfAdjointness]:
+        return None if self.inconclusive else verdict(self.indices)
 
 
 def default_anchor(a: float, b: float) -> Tuple[float, float]:
@@ -425,10 +436,7 @@ def classify_interval(
         raise ValueError("engine must be 'both', 'asymptotic' or 'numeric'")
     cfg = cfg or IntegratorConfig()
     if isinstance(q, EffectiveProblem):
-        problem: EffectiveProblem = q
-        q = problem.q_eff
-    else:
-        problem = EffectiveProblem(n=3, l=0, base=q, rho=0.0, q_eff=q)
+        q = q.q_eff
     anchor_left, anchor_right = anchors or default_anchor(a, b)
     for anchor in (anchor_left, anchor_right):
         if not a < anchor < b:
@@ -440,7 +448,7 @@ def classify_interval(
         asym_ok = ep.side == "left" and ep.position == 0.0
         if engine in ("both", "asymptotic") and asym_ok:
             try:
-                return classify_asymptotic(problem)
+                return classify_asymptotic(q)
             except AsymptoticsUnavailableError:
                 if engine == "asymptotic":
                     raise
@@ -450,12 +458,4 @@ def classify_interval(
             )
         return classify_numeric(q, ep, anchor, cfg, margin=margin, max_shells=max_shells)
 
-    left = one(left_ep, anchor_left)
-    right = one(right_ep, anchor_right)
-    try:
-        idx = deficiency_indices(left, right)
-        sa = verdict(idx)
-    except InconclusiveInputError:
-        idx = None
-        sa = None
-    return ClassificationReport(a=a, b=b, left=left, right=right, indices=idx, self_adjointness=sa)
+    return ClassificationReport(a=a, b=b, left=one(left_ep, anchor_left), right=one(right_ep, anchor_right))

@@ -92,6 +92,8 @@ def _load_problem(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             defaults = json.load(fh)
+        if not isinstance(defaults, dict):
+            raise ValueError(f"--config must hold a JSON object, got {defaults!r}")
         problem = _merge(defaults, problem)
     return problem
 

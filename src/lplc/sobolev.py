@@ -21,14 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import (
-    DEFAULT_MARGIN,
-    _check_margin,
-    _safe_exp,
-    band_status,
-    fit_shell_exponent,
-    joint_status,
-)
+from .classify import DEFAULT_MARGIN, TailReport, joint_status
 from .errors import (
     BumpNotInteriorError,
     InsufficientTailError,
@@ -209,15 +202,17 @@ _MEMBERSHIP = {"convergent": True, "divergent": False, "inconclusive": None}
 class W21Report:
     """Shell convergence of |f|, |f'|, |f''| toward 0.
 
-    statuses[i] is 'convergent', 'divergent' or 'inconclusive' for the
-    i-th integrand; membership verdicts are None when the evidence is
-    inconclusive. `failing` names the first divergent integral.
+    tails[i] is the dyadic-shell evidence for the i-th integrand, and
+    statuses[i] its 'convergent', 'divergent' or 'inconclusive' reading;
+    membership verdicts are None when the evidence is inconclusive.
+    `failing` names the first divergent integral.
     """
 
-    statuses: Tuple[str, str, str]
-    shell_integrals: Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
-    fitted_exponents: Tuple[float, float, float]
-    margin: float
+    tails: Tuple[TailReport, TailReport, TailReport]
+
+    @property
+    def statuses(self) -> Tuple[str, ...]:
+        return tuple(t.status for t in self.tails)
 
     @property
     def in_w11(self) -> Optional[bool]:
@@ -251,25 +246,11 @@ def w21_report(f: SampledFunction, *, margin: float = DEFAULT_MARGIN) -> W21Repo
     reconstructed from a differential equation) and a margin in [0, 1).
     The grid must span at least four dyadic shells toward 0.
     """
-    _check_margin(margin)
     if f.derivative_values is None or f.second_derivative_values is None:
         raise MissingDerivativeError("w21_report needs f' and f'' samples")
-    statuses: List[str] = []
-    shells: List[Tuple[float, ...]] = []
-    exponents: List[float] = []
+    tails: List[TailReport] = []
     for data in (f.values, f.derivative_values, f.second_derivative_values):
         with np.errstate(divide="ignore"):
             log_v = np.log(np.abs(np.asarray(data, dtype=complex))).real
-        logs = dyadic_shell_log_integrals(f.grid, log_v)
-        if len(logs) < 4:
-            raise InsufficientTailError("grid spans fewer than 4 dyadic shells")
-        slope = fit_shell_exponent(logs)
-        statuses.append(band_status(_safe_exp(slope), margin))
-        shells.append(tuple(_safe_exp(v) for v in logs))
-        exponents.append(slope)
-    return W21Report(
-        statuses=tuple(statuses),
-        shell_integrals=tuple(shells),
-        fitted_exponents=tuple(exponents),
-        margin=margin,
-    )
+        tails.append(TailReport(tuple(dyadic_shell_log_integrals(f.grid, log_v)), margin))
+    return W21Report(tuple(tails))

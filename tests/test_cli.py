@@ -208,6 +208,15 @@ class TestClassifyCommand:
         assert report["config"]["rel_tol"] == 1e-8
         assert all(e["engine"] == "numeric" for e in report["endpoints"])
 
+    @pytest.mark.parametrize("defaults", [[1, 2], 5], ids=["list", "number"])
+    def test_config_file_not_an_object_rejected(self, capsys, tmp_path, defaults):
+        spec_path = write_spec(tmp_path, {"interval": {"a": 0, "b": 1}, "potential": {"type": "zero"}})
+        config_path = write_spec(tmp_path, defaults, name="config.json")
+        code, out, err = run(capsys, ["classify", "--input", spec_path, "--config", config_path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lplc: error: --config must hold a JSON object")
+
     def test_whole_numbers_echo_as_the_ints_used(self, capsys, tmp_path):
         spec = dict(FREE_HALF_LINE, n=3.0, l=1.0, config={"max_shells": 8.0, "x_max": 1000})
         code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
