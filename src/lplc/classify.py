@@ -326,7 +326,7 @@ def classify_numeric(
     for k in range(n_shells):
         columns = integrate_grid(q, eigenvalue, edges[k : k + 2], states, cfg, _stepper=stepper).columns()
         for logs, col in zip(shell_logs, columns):
-            logs.append(float(col.log_square_integrals[0]))
+            logs.append(col.log_square_integrals[0])
         states = [col.final_state for col in columns]
         if any(_decisively_divergent(logs) for logs in shell_logs):
             break
@@ -343,8 +343,7 @@ def classify_numeric(
         back = integrate_grid(
             q, eigenvalue, edges[reached::-1], ComplexState(1.0, 0.0), cfg, _stepper=stepper
         )
-        rev_logs = back.log_square_integrals[::-1].tolist()  # order shells toward the endpoint
-        reports = [dominant, TailReport(tuple(rev_logs), margin)]
+        reports = [dominant, TailReport(back.log_square_integrals[::-1], margin)]  # shells toward the endpoint
     status = joint_status([r.status for r in reports])
     return EndpointClass(verdict=_VERDICT_OF_STATUS[status], engine=Engine.NUMERIC, tails=tuple(reports))
 

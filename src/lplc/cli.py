@@ -98,6 +98,19 @@ def _load_problem(args) -> dict:
     return problem
 
 
+def _json_text(payload) -> str:
+    """Strict JSON of payload, each non-finite float written as the string 'inf', '-inf' or 'nan'."""
+
+    def finite(value):
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+    return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _tail_dict(tail: TailReport) -> dict:
     return {
         "shells": list(tail.shell_integrals),
@@ -127,16 +140,9 @@ def _classify_report_dict(potential: Potential, nl: Optional[Tuple[int, int]], r
                           cfg: IntegratorConfig, engine: str, settings: dict) -> dict:
     from . import classify as _classify
 
-    def bound_repr(v: float):
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
-
     out = {
         "problem": {
-            "interval": {"a": bound_repr(report.a), "b": bound_repr(report.b)},
+            "interval": {"a": report.a, "b": report.b},
             "potential": potential.to_dict(),
             "engine": engine,
         },
@@ -208,7 +214,7 @@ def cmd_classify(args) -> int:
     # the settings the report echoes next to cfg's fields: anchors only when given
     settings = dict(margin=margin, max_shells=max_shells, **given)
     payload = _classify_report_dict(potential, nl, report, cfg, engine, settings)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
 
 
@@ -294,7 +300,7 @@ def cmd_extensions(args) -> int:
         c = float(args.c)
         if not 0.0 <= c < 2.0 * math.pi:
             raise ValueError("c must lie in [0, 2*pi)")
-        print(json.dumps(_extension_row(c), indent=2, sort_keys=True))
+        print(_json_text(_extension_row(c)))
     else:
         grid = _parse_sweep(args.sweep)
         if any(c < 0.0 or c >= 2.0 * math.pi for c in grid):
@@ -311,6 +317,8 @@ def cmd_regularity_demo(args) -> int:
     a = args.a
     if n_max < 2:
         raise ValueError("n-max must be at least 2")
+    if not math.isfinite(a):
+        raise ValueError(f"--a must be finite, got {a!r}")
     if which == "f" and not a > 1.0:
         raise ValueError("the f sequence needs a > 1")
     if which == "g" and not a > 0.0:
@@ -342,8 +350,8 @@ def cmd_effective_potential(args) -> int:
     problem = _pot.effective_potential(potential, args.n, args.l)
     lam, big_l = _pot.lambda_nl(args.n, args.l)
     grid = _parse_sweep(args.grid)
-    if any(x <= 0.0 for x in grid):
-        raise ValueError("grid abscissas must be positive")
+    if not all(0.0 < x < math.inf for x in grid):
+        raise ValueError("grid abscissas must be positive and finite")
     out = sys.stdout
     out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\n")
     coeff = problem.q_eff.origin_coefficient()

@@ -24,7 +24,9 @@ weights b_i, so it costs no q evaluation and leaves step control on
 (y, y') alone. The sum is kept in the column's current scale and folded
 into a log-domain total at every rescale, so it never overflows however
 far the column grows or decays. integrate_grid returns one log integral
-per recording interval.
+per recording interval, in a trace of plain tuples, so integration and
+every classify run load no numpy: only the functions that compute on
+whole arrays import it.
 
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
@@ -44,6 +46,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -60,8 +64,6 @@ from .potentials import Potential, evaluate
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the functions that build or read arrays, so
-# the stepper and the rest of the package load without it.
 _EPS = sys.float_info.epsilon
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
@@ -127,41 +129,36 @@ class IntegratorConfig:
 class SolutionTrace:
     """A solution of -y'' + q y = l y recorded on a monotone grid.
 
-    Arrays y, dy hold the banded mantissa pair; log_scale holds the
-    accumulated logarithmic factors, so exp(log_scale[i]) * y[i] is the
-    true solution value at x[i]. log_square_integrals[i], when present,
-    is the log of the integral of |true y|^2 over [x[i], x[i+1]], taken
-    by the integrator inside its steps. Solutions advanced together carry
-    a trailing column axis in y, dy, log_scale and log_square_integrals;
-    columns() splits them, and final_state needs a single column.
+    Tuples y, dy hold the banded mantissa pair at each point of the tuple
+    x; log_scale holds the accumulated logarithmic factors, so
+    exp(log_scale[i]) * y[i] is the true solution value at x[i].
+    log_square_integrals[i], when present, is the log of the integral of
+    |true y|^2 over [x[i], x[i+1]], taken by the integrator inside its
+    steps. For solutions advanced together each entry of y, dy, log_scale
+    and log_square_integrals is a tuple over the columns; columns()
+    splits them, and final_state needs a single column.
     """
 
     eigenvalue: complex
-    x: np.ndarray
-    y: np.ndarray
-    dy: np.ndarray
-    log_scale: np.ndarray
+    x: Tuple[float, ...]
+    y: tuple
+    dy: tuple
+    log_scale: tuple
     potential: Potential
     direction: int
-    log_square_integrals: Optional[np.ndarray] = None
+    log_square_integrals: Optional[tuple] = None
 
     def columns(self) -> Tuple["SolutionTrace", ...]:
         """One single-solution trace per column (the trace itself if it has none)."""
-        if self.y.ndim == 1:
+        if not isinstance(self.y[0], tuple):
             return (self,)
         integrals = self.log_square_integrals
         return tuple(
-            SolutionTrace(
-                self.eigenvalue,
-                self.x,
-                self.y[:, j],
-                self.dy[:, j],
-                self.log_scale[:, j],
-                self.potential,
-                self.direction,
-                None if integrals is None else integrals[:, j],
+            SolutionTrace(self.eigenvalue, self.x, y, dy, ls, self.potential, self.direction, li)
+            for y, dy, ls, li in zip(
+                zip(*self.y), zip(*self.dy), zip(*self.log_scale),
+                repeat(None) if integrals is None else zip(*integrals),
             )
-            for j in range(self.y.shape[1])
         )
 
     @property
@@ -172,12 +169,12 @@ class SolutionTrace:
         """True solution values; may overflow for extreme log scales."""
         import numpy as np
 
-        return self.y * np.exp(self.log_scale)
+        return np.asarray(self.y) * np.exp(self.log_scale)
 
     def derivative_values(self) -> np.ndarray:
         import numpy as np
 
-        return self.dy * np.exp(self.log_scale)
+        return np.asarray(self.dy) * np.exp(self.log_scale)
 
 
 def _normalized(y: complex, dy: complex, log_scale: float, band: float) -> Tuple[complex, complex, float]:
@@ -428,21 +425,22 @@ def integrate_grid(
     """Integrate -y'' + q y = l y recording the state at every grid point.
 
     `init` is one initial state, or a sequence of them advanced together
-    on one step sequence; then the trace's y, dy and log_scale carry a
-    trailing column axis, one column per initial state. cfg.max_steps
-    bounds the attempted steps of this call, or of every call sharing
-    `_stepper`.
+    on one step sequence; then each entry of the trace's y, dy, log_scale
+    and log_square_integrals is a tuple with one value per initial state.
+    cfg.max_steps bounds the attempted steps of this call, or of every
+    call sharing `_stepper`.
     """
-    import numpy as np
-
     cfg = cfg or IntegratorConfig()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    try:
+        points = tuple(float(x) for x in grid)
+    except TypeError:
+        raise ValueError("grid must contain at least two points") from None
+    if len(points) < 2:
         raise ValueError("grid must contain at least two points")
-    if not np.all(np.isfinite(grid)):
+    if not all(map(math.isfinite, points)):
         raise ValueError("grid points must be finite (infinite targets are truncated)")
-    steps = np.diff(grid)
-    if not (np.all(steps > 0) or np.all(steps < 0)):
+    pairs = tuple(zip(points, points[1:]))
+    if not (all(x0 < x1 for x0, x1 in pairs) or all(x0 > x1 for x0, x1 in pairs)):
         raise ValueError("grid must be strictly monotone")
     l = complex(l)
     single = isinstance(init, ComplexState)
@@ -457,25 +455,23 @@ def integrate_grid(
     rows = [(ys, dys, lss)]
     integral_rows = []
     stepper = _stepper or _Stepper(q, l, cfg)
-    points = grid.tolist()
-    for x0, x1 in zip(points, points[1:]):
+    for x0, x1 in pairs:
         ys, dys, lss, integrals = stepper.advance(x0, x1, ys, dys, lss)
         rows.append((ys, dys, lss))
         integral_rows.append(integrals)
     y_rows, dy_rows, ls_rows = zip(*rows)
-    y, dy, log_scale = (np.array(r) for r in (y_rows, dy_rows, ls_rows))
-    log_square_integrals = np.array(integral_rows)
-    if single:
-        y, dy, log_scale = y[:, 0], dy[:, 0], log_scale[:, 0]
-        log_square_integrals = log_square_integrals[:, 0]
+    entry = itemgetter(0) if single else tuple
+    y, dy, log_scale, log_square_integrals = (
+        tuple(map(entry, r)) for r in (y_rows, dy_rows, ls_rows, integral_rows)
+    )
     return SolutionTrace(
         eigenvalue=l,
-        x=grid,
+        x=points,
         y=y,
         dy=dy,
         log_scale=log_scale,
         potential=q,
-        direction=1 if grid[-1] > grid[0] else -1,
+        direction=1 if points[-1] > points[0] else -1,
         log_square_integrals=log_square_integrals,
     )
 
@@ -501,35 +497,25 @@ def fundamental_pair(
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
     """Join traces that continue one another (shared junction points)."""
-    import numpy as np
-
     if not traces:
         raise ValueError("need at least one trace")
-    head = traces[0]
-    xs = [head.x]
-    ys = [head.y]
-    dys = [head.dy]
-    lss = [head.log_scale]
-    for prev, cur in zip(traces, traces[1:]):
+    head, rest = traces[0], traces[1:]
+    for prev, cur in zip(traces, rest):
         if cur.eigenvalue != prev.eigenvalue or cur.direction != prev.direction:
             raise ValueError("traces do not continue one another")
         if cur.x[0] != prev.x[-1]:
             raise GridMismatchError("traces do not share a junction point")
-        xs.append(cur.x[1:])
-        ys.append(cur.y[1:])
-        dys.append(cur.dy[1:])
-        lss.append(cur.log_scale[1:])
     integrals = [t.log_square_integrals for t in traces]
     return SolutionTrace(
         eigenvalue=head.eigenvalue,
-        x=np.concatenate(xs),
-        y=np.concatenate(ys),
-        dy=np.concatenate(dys),
-        log_scale=np.concatenate(lss),
+        x=tuple(chain(head.x, *(t.x[1:] for t in rest))),
+        y=tuple(chain(head.y, *(t.y[1:] for t in rest))),
+        dy=tuple(chain(head.dy, *(t.dy[1:] for t in rest))),
+        log_scale=tuple(chain(head.log_scale, *(t.log_scale[1:] for t in rest))),
         potential=head.potential,
         direction=head.direction,
         log_square_integrals=(
-            None if any(v is None for v in integrals) else np.concatenate(integrals)
+            None if any(v is None for v in integrals) else tuple(chain(*integrals))
         ),
     )
 
@@ -542,8 +528,9 @@ def wronskian_values(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
         raise ValueError("traces have different eigenvalues")
     if not np.array_equal(t1.x, t2.x):
         raise GridMismatchError("traces are on different grids")
-    mantissa = t1.y * t2.dy - t1.dy * t2.y
-    return mantissa * np.exp(t1.log_scale + t2.log_scale)
+    y1, dy1, y2, dy2 = (np.asarray(v) for v in (t1.y, t1.dy, t2.y, t2.dy))
+    mantissa = y1 * dy2 - dy1 * y2
+    return mantissa * np.exp(np.add(t1.log_scale, t2.log_scale))
 
 
 def _as_curve(obj) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -551,12 +538,10 @@ def _as_curve(obj) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     import numpy as np
 
     if isinstance(obj, SolutionTrace):
-        scale = np.exp(obj.log_scale)
-        vals = obj.y * scale
-        dvals = obj.dy * scale
+        vals = obj.values()
         qx = np.asarray([evaluate(obj.potential, float(t)) for t in obj.x])
         d2 = (qx - obj.eigenvalue) * vals  # second derivative from the equation itself
-        return obj.x, vals, dvals, d2
+        return np.asarray(obj.x, dtype=float), vals, obj.derivative_values(), d2
     grid = np.asarray(obj.grid, dtype=float)
     vals = np.asarray(obj.values)
     dvals = getattr(obj, "derivative_values", None)

@@ -177,16 +177,24 @@ class TestFitShellExponent:
 
 
 def test_evidence_layer_imports_no_numpy():
-    # the verdict rule reads shell logs only; numpy is left to the numeric march
+    # neither the verdict rule nor the numeric march that feeds it loads numpy
     script = """
+import math
 import sys
-from lplc.classify import ClassificationReport, EndpointClass, EndpointVerdict, Engine, TailReport
+from lplc.classify import ClassificationReport, EndpointClass, EndpointVerdict, Engine, TailReport, classify_interval
+from lplc.odeint import ComplexState, integrate_grid
+from lplc.potentials import Coulomb
 tail = TailReport((0.0, -1.0, -2.0, -3.0, -4.0), 0.15)
 assert tail.status == "convergent" and tail.fitted_ratio < 0.5
 lc = EndpointClass(EndpointVerdict.LIMIT_CIRCLE, Engine.NUMERIC, (tail, tail))
 assert lc.tail is tail
 report = ClassificationReport(0.0, 1.0, lc, lc)
 assert (report.indices.n_plus, report.self_adjointness.extension_dimension) == (2, 4)
+assert "numpy" not in sys.modules
+pair = integrate_grid(Coulomb(-1.0), 1j, [1.0, 2.0, 4.0], (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)))
+assert len(pair.columns()) == 2 and len(pair.log_square_integrals) == 2
+report = classify_interval(Coulomb(-1.0), 0.0, math.inf, engine="numeric")
+assert report.self_adjointness.label() == "needs_boundary_conditions"
 assert "numpy" not in sys.modules
 """
     src = os.path.dirname(os.path.dirname(lplc.__file__))

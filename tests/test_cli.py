@@ -257,6 +257,19 @@ class TestClassifyCommand:
         code_again, out_again, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, again)])
         assert (code_again, out_again) == (code, out)
 
+    def test_non_finite_numbers_are_written_as_strings(self, capsys, tmp_path):
+        # the shells of harmonic k=400 toward +inf overflow exp to inf
+        spec = {"interval": {"a": 0, "b": "inf"}, "potential": {"type": "harmonic", "k": 400}}
+        code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        right = json.loads(out, parse_constant=reject)["endpoints"][1]
+        assert right["fitted_ratio"] == "inf"
+        assert "inf" in right["shells"]
+
     def test_left_infinite_bound(self, capsys, tmp_path):
         spec = {"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "harmonic", "k": 1.0}}
         code, out, _ = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
@@ -361,6 +374,12 @@ class TestRegularityDemoCommand:
         code, _, _ = run(capsys, ["regularity-demo", "--which", "f", "--n-max", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_non_finite_a_rejected(self, capsys, which):
+        code, out, err = run(capsys, ["regularity-demo", "--which", which, "--a", "inf"])
+        assert (code, out) == (1, "")
+        assert "--a must be finite" in err
+
 
 class TestEffectivePotentialCommand:
     def test_flat_s_wave(self, capsys):
@@ -422,6 +441,13 @@ class TestEffectivePotentialCommand:
         assert "range" in err.lower()
 
 
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "0.1:nan:3", "-1:2:4"])
+    def test_grid_rejected_before_any_output(self, capsys, grid):
+        code, out, err = run(capsys, ["effective-potential", "--n", "3", "--l", "1", f"--grid={grid}"])
+        assert (code, out) == (1, "")
+        assert "positive and finite" in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -464,8 +490,9 @@ class TestSweepGrid:
 
 
 def test_cli_subcommands_import_no_numpy():
-    # numpy costs most of a cold start; only numeric marches and array APIs may load it
+    # numpy costs most of a cold start; only the array APIs may load it
     script = """
+import io
 import sys
 import lplc
 assert "numpy" not in sys.modules, "import lplc"
@@ -482,6 +509,16 @@ for argv in (
 ):
     assert lplc.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+for problem in (
+    '{"interval": {"a": 0, "b": 1}, "potential": {"type": "zero"}, "engine": "numeric"}',
+    '{"interval": {"a": 0, "b": "inf"}, "potential": {"type": "coulomb", "z": -1}, "n": 3, "l": 0}',
+    '{"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "harmonic", "k": 1}}',
+    '{"interval": {"a": 0.5, "b": 4}, "potential": {"type": "tabulated", "x": [0.5, 1, 2, 4], "q": [1, 0, -1, 2]}}',
+    '{"interval": {"a": 0, "b": 1}, "potential": {"type": "zero"}, "n": 3, "l": 1}',
+):
+    sys.stdin = io.StringIO(problem)
+    assert lplc.cli.main(["classify", "--input", "-"]) == 0, problem
+    assert "numpy" not in sys.modules, problem
 """
     src = os.path.dirname(os.path.dirname(lplc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
