@@ -121,10 +121,11 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def golden_fit_windows():
-    """The finite last-DEFAULT_FIT_WINDOW windows of every tail in the golden reports."""
+    """The finite last-DEFAULT_FIT_WINDOW windows of every tail in the golden classify reports."""
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
     windows = []
-    for path in sorted(GOLDEN.glob("*.stdout")):
-        for endpoint in json.loads(path.read_text(encoding="utf-8"))["endpoints"]:
+    for name in sorted(name for name, case in cases.items() if "problem" in case):
+        for endpoint in json.loads((GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"))["endpoints"]:
             for solution in endpoint.get("solutions", []):
                 window = solution["log_shells"][-DEFAULT_FIT_WINDOW:]
                 if all(isinstance(v, float) and math.isfinite(v) for v in window):

@@ -1,9 +1,10 @@
-"""Golden bytes for `lplc classify` reports.
+"""Golden bytes for lplc's reports.
 
-tests/data/cli_golden/cases.json names each problem and the exit code
-the CLI must give for it; <name>.stdout holds the exact report. A change
-that moves any byte of these reports fails here. Regenerate the files
-only on purpose, with
+tests/data/cli_golden/cases.json names each case and the exit code the
+CLI must give for it: a `classify` case holds the problem description,
+any other subcommand its argv. <name>.stdout holds the exact output. A
+change that moves any byte of it fails here. Regenerate the files only
+on purpose, with
 
     PYTHONPATH=src python tests/test_cli_golden.py --regenerate
 
@@ -20,21 +21,35 @@ from lplc.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli_golden"
 CASES = json.loads((DATA / "cases.json").read_text(encoding="utf-8"))
+PROBLEMS = sorted(name for name, case in CASES.items() if "problem" in case)
+COMMANDS = sorted(name for name, case in CASES.items() if "argv" in case)
 
 
-def classify(capsys, tmp_path, problem):
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem), encoding="utf-8")
-    code = main(["classify", "--input", str(path)])
-    return code, capsys.readouterr().out
+def argv_of(case, tmp_dir: Path):
+    """The CLI arguments of a case; a problem is written to tmp_dir first."""
+    if "argv" in case:
+        return case["argv"]
+    path = tmp_dir / "problem.json"
+    path.write_text(json.dumps(case["problem"]), encoding="utf-8")
+    return ["classify", "--input", str(path)]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_classify_report_bytes_match_golden(capsys, tmp_path, name):
+def check(capsys, tmp_path, name):
     case = CASES[name]
-    code, out = classify(capsys, tmp_path, case["problem"])
+    code = main(argv_of(case, tmp_path))
     assert code == case["exit"]
-    assert out == (DATA / f"{name}.stdout").read_text(encoding="utf-8")
+    # bytes, not text: the CSV subcommands end their rows with \r\n
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_classify_report_bytes_match_golden(capsys, tmp_path, name):
+    check(capsys, tmp_path, name)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_subcommand_output_matches_golden(capsys, tmp_path, name):
+    check(capsys, tmp_path, name)
 
 
 def _regenerate() -> None:
@@ -43,15 +58,13 @@ def _regenerate() -> None:
 
     for name, case in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "problem.json"
-            path.write_text(json.dumps(case["problem"]), encoding="utf-8")
             proc = subprocess.run(
-                [sys.executable, "-m", "lplc.cli", "classify", "--input", str(path)],
-                capture_output=True, text=True,
+                [sys.executable, "-m", "lplc.cli", *argv_of(case, Path(tmp))],
+                capture_output=True,
             )
         if proc.returncode != case["exit"]:
             raise SystemExit(f"{name}: exit {proc.returncode}, cases.json says {case['exit']}")
-        (DATA / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
+        (DATA / f"{name}.stdout").write_bytes(proc.stdout)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
