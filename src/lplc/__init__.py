@@ -81,7 +81,6 @@ _EXPORTS = {
         "effective_potential",
         "evaluate",
         "lambda_nl",
-        "rho_nl",
     ),
     "sobolev": (
         "BumpTest",

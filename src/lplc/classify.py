@@ -79,7 +79,7 @@ class Engine(Enum):
 
 @dataclass(frozen=True)
 class Endpoint:
-    """One end of the working interval; position may be +-inf."""
+    """One end of the working interval; position may be -inf on the left, +inf on the right."""
 
     position: float
     side: str  # "left" or "right"
@@ -89,6 +89,8 @@ class Endpoint:
             raise ValueError("side must be 'left' or 'right'")
         if math.isnan(self.position):
             raise ValueError("endpoint position must not be NaN")
+        if self.position == (math.inf if self.side == "left" else -math.inf):
+            raise ValueError(f"a {self.side} endpoint cannot lie at {self.label()}")
 
     @property
     def is_infinite(self) -> bool:
@@ -298,18 +300,23 @@ def classify_numeric(
     limit point if at least one diverges, inconclusive when a fitted
     ratio falls inside the guard band (margin in [0, 1)). The shell march
     stops early once divergence is decisive, so rapidly growing solutions
-    are not chased across the whole range. Toward an infinite endpoint
-    the anchor must lie on the endpoint's side of 0, and the subdominant
-    solution is recovered by one reverse integration from the last shell
-    reached, which suppresses contamination by the growing mode.
+    are not chased across the whole range. The anchor must lie on the
+    interval's side of a finite endpoint, and on the endpoint's side of 0
+    toward an infinite one, where the subdominant solution is recovered
+    by one reverse integration from the last shell reached, which
+    suppresses contamination by the growing mode.
     """
     _check_margin(margin)
     if not (isinstance(max_shells, int) and max_shells >= DEFAULT_MIN_SHELLS):
         raise ValueError(f"max_shells must be an integer of at least {DEFAULT_MIN_SHELLS}, got {max_shells!r}")
     cfg = cfg or IntegratorConfig()
-    if endpoint.is_infinite and not anchor * math.copysign(1.0, endpoint.position) > 0.0:
-        side = "positive" if endpoint.position > 0.0 else "negative"
-        raise ValueError(f"anchor must be {side} toward {endpoint.label()}, got {anchor!r}")
+    if endpoint.is_infinite:
+        if not anchor * math.copysign(1.0, endpoint.position) > 0.0:
+            side = "positive" if endpoint.position > 0.0 else "negative"
+            raise ValueError(f"anchor must be {side} toward {endpoint.label()}, got {anchor!r}")
+    elif not (anchor > endpoint.position if endpoint.side == "left" else anchor < endpoint.position):
+        relation = "above" if endpoint.side == "left" else "below"
+        raise ValueError(f"anchor must be {relation} {endpoint.label()} for a {endpoint.side} endpoint, got {anchor!r}")
     edges = shell_edges(anchor, endpoint.position, cfg)[: max_shells + 1]
     n_shells = len(edges) - 1
     if n_shells < DEFAULT_MIN_SHELLS:

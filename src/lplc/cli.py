@@ -24,7 +24,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .errors import LplcError
+from .errors import AsymptoticsUnavailableError, LplcError
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport, EndpointClass, TailReport
@@ -297,10 +297,8 @@ def cmd_extensions(args) -> int:
     if (args.c is None) == (args.sweep is None):
         raise ValueError("give exactly one of --c or --sweep")
     if args.c is not None:
-        c = float(args.c)
-        if not 0.0 <= c < 2.0 * math.pi:
-            raise ValueError("c must lie in [0, 2*pi)")
-        print(_json_text(_extension_row(c)))
+        # boundary_condition rejects a c outside [0, 2*pi)
+        print(_json_text(_extension_row(args.c)))
     else:
         grid = _parse_sweep(args.sweep)
         if any(c < 0.0 or c >= 2.0 * math.pi for c in grid):
@@ -354,14 +352,13 @@ def cmd_effective_potential(args) -> int:
         raise ValueError("grid abscissas must be positive and finite")
     out = sys.stdout
     out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\n")
-    coeff = problem.q_eff.origin_coefficient()
-    if coeff is None:
+    try:
+        origin = _classify.classify_asymptotic(problem)
+    except AsymptoticsUnavailableError:
         out.write("# origin_lp_condition=unknown (no exact origin coefficient)\n")
     else:
-        status = "holds" if coeff >= _classify.ORIGIN_LP_THRESHOLD else "fails"
-        out.write(
-            f"# origin_lp_condition={status} (coefficient {coeff!r} vs threshold 0.75)\n"
-        )
+        status = "holds" if origin.verdict is _classify.EndpointVerdict.LIMIT_POINT else "fails"
+        out.write(f"# origin_lp_condition={status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)\n")
     writer = csv.writer(out)
     writer.writerow(["x", "v", "v_eff"])
     for x in grid:

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+_NORM_CUTOFF, _NORM_PANELS = 30.0, 6000  # deficiency_norm_squared's Simpson rule
 
 # numpy is imported only by the functions that take or build arrays.
 ArrayLike = Union[float, "np.ndarray"]
@@ -69,7 +70,7 @@ def deficiency_function(sign: int, x: ArrayLike) -> Union[complex, np.ndarray]:
     return DeficiencyFunction(sign)(x)
 
 
-def deficiency_norm_squared(sign: int, *, cutoff: float = 30.0, panels: int = 6000) -> float:
+def deficiency_norm_squared(sign: int) -> float:
     """Quadrature of |phi|^2 on [0, cutoff] plus the exact exponential tail.
 
     The integrand is exp(-sqrt(2) x); the remainder beyond the cutoff is
@@ -77,8 +78,8 @@ def deficiency_norm_squared(sign: int, *, cutoff: float = 30.0, panels: int = 60
     is the Simpson error of the finite part.
     """
     phi = DeficiencyFunction(sign)
-    body = simpson(lambda t: abs(phi(t)) ** 2, 0.0, cutoff, panels)
-    tail = math.exp(-_SQRT2 * cutoff) / _SQRT2
+    body = simpson(lambda t: abs(phi(t)) ** 2, 0.0, _NORM_CUTOFF, _NORM_PANELS)
+    tail = math.exp(-_SQRT2 * _NORM_CUTOFF) / _SQRT2
     return body + tail
 
 
@@ -88,6 +89,12 @@ def isometry_phase(x: float, c: float) -> float:
     Pointwise, exp(i theta) phi_plus(x) equals exp(i c) phi_minus(x).
     """
     return -_SQRT2 * x + c
+
+
+def _check_parameter(c: float) -> None:
+    """Reject an extension parameter outside [0, 2*pi), NaN included."""
+    if not 0.0 <= c < _TWO_PI:
+        raise ValueError("c must lie in [0, 2*pi)")
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,7 @@ class BoundaryCondition:
     beta: complex
 
     def __post_init__(self):
-        if not 0.0 <= self.c < _TWO_PI:
-            raise ValueError("c must lie in [0, 2*pi)")
+        _check_parameter(self.c)
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n - 1.0) > 1e-9:
             raise ValueError("(alpha, beta) must be normalized")
@@ -132,8 +138,7 @@ def boundary_condition(c: float) -> BoundaryCondition:
     c = pi gives the Dirichlet condition (beta = 0) and c = pi/2 the
     Neumann condition (alpha = 0), both exactly up to rounding.
     """
-    if not 0.0 <= c < _TWO_PI:
-        raise ValueError("c must lie in [0, 2*pi)")
+    _check_parameter(c)
     alpha, beta = _raw_boundary_pair(c)
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha /= norm
@@ -148,8 +153,9 @@ def adjoint_ratio(c: float, kind: int) -> complex:
 
     kind=1 returns xi(0)/xi'(0) = -sqrt(2)(e^{ic}+1) / (1+e^{ic}+i(e^{ic}-1)),
     undefined at c = pi/2; kind=2 returns the reciprocal ratio
-    xi'(0)/xi(0), undefined at c = pi.
+    xi'(0)/xi(0), undefined at c = pi. c must lie in [0, 2*pi).
     """
+    _check_parameter(c)
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     phase = cmath.exp(1j * c)

@@ -31,11 +31,11 @@ whole arrays import it.
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
 to cfg.x_min, and toward an infinite target |x| doubles once per shell,
-up to the truncation radius cfg.x_max. The first edge is the start
-itself, and the others are made from the exact floats d * 2^(+-k), with
-math.ldexp. build_grid records a solution on those
-edges and closes the grid at the target when the potential evaluates
-there, or at the truncation radius toward infinity.
+up to the truncation radius cfg.x_max, from a start on the target's side
+of 0. The first edge is the start itself, and the others are made from
+the exact floats d * 2^(+-k), with math.ldexp. build_grid records a
+solution on those edges and closes the grid at the target when the
+potential evaluates there, or at the truncation radius toward infinity.
 
 Integration is a pure function of its inputs; traces are immutable, so
 independent integrations may run concurrently without shared state.
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -132,11 +132,11 @@ class SolutionTrace:
     Tuples y, dy hold the banded mantissa pair at each point of the tuple
     x; log_scale holds the accumulated logarithmic factors, so
     exp(log_scale[i]) * y[i] is the true solution value at x[i].
-    log_square_integrals[i], when present, is the log of the integral of
-    |true y|^2 over [x[i], x[i+1]], taken by the integrator inside its
-    steps. For solutions advanced together each entry of y, dy, log_scale
-    and log_square_integrals is a tuple over the columns; columns()
-    splits them, and final_state needs a single column.
+    log_square_integrals[i] is the log of the integral of |true y|^2
+    over [x[i], x[i+1]], taken by the integrator inside its steps. For
+    solutions advanced together each entry of y, dy, log_scale and
+    log_square_integrals is a tuple over the columns; columns() splits
+    them, and final_state needs a single column.
     """
 
     eigenvalue: complex
@@ -146,18 +146,16 @@ class SolutionTrace:
     log_scale: tuple
     potential: Potential
     direction: int
-    log_square_integrals: Optional[tuple] = None
+    log_square_integrals: tuple
 
     def columns(self) -> Tuple["SolutionTrace", ...]:
         """One single-solution trace per column (the trace itself if it has none)."""
         if not isinstance(self.y[0], tuple):
             return (self,)
-        integrals = self.log_square_integrals
         return tuple(
             SolutionTrace(self.eigenvalue, self.x, y, dy, ls, self.potential, self.direction, li)
             for y, dy, ls, li in zip(
-                zip(*self.y), zip(*self.dy), zip(*self.log_scale),
-                repeat(None) if integrals is None else zip(*integrals),
+                zip(*self.y), zip(*self.dy), zip(*self.log_scale), zip(*self.log_square_integrals)
             )
         )
 
@@ -363,9 +361,9 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
 
     Toward a finite target at distance d, edge 0 is x_start itself and
     edge k >= 1 lies at distance d * 2^(-k) from the target, for the
-    whole shells that stay at least cfg.x_min away. Toward an infinite target, |x| = |x_start| * 2^k for the whole
-    shells inside cfg.x_max; from a start at x <= 0 (in the direction of
-    travel) the shells begin at |x| = 1.
+    whole shells that stay at least cfg.x_min away. Toward an infinite
+    target, x_start must lie on the target's side of 0, and the edges
+    are x_start * 2^k for the whole shells inside cfg.x_max.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
@@ -374,9 +372,10 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
     if math.isinf(x_end):
         sign = 1.0 if x_end > 0 else -1.0
         base = sign * x_start
+        if not base > 0.0:
+            raise ValueError(f"x_start={x_start!r} must lie on the side of 0 toward {x_end!r}")
         if base >= cfg.x_max:
             raise InsufficientTailError(f"x_start={x_start!r} lies beyond the truncation radius")
-        base = base if base > 0.0 else 1.0
         n = max(0, math.floor(math.log2(cfg.x_max / base)))
         return [sign * math.ldexp(base, k) for k in range(n + 1)]
     direction = 1.0 if x_end > x_start else -1.0
@@ -389,16 +388,12 @@ def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig
     """Recording grid: the shell edges from x_start toward x_end and a closing point.
 
     A finite target closes the grid when the potential evaluates there.
-    Toward an infinite target the truncation radius cfg.x_max closes it,
-    and a start at x <= 0 (in the direction of travel) is recorded before
-    the first shell edge at |x| = 1.
+    Toward an infinite target the truncation radius cfg.x_max closes it.
     """
     import numpy as np
 
     edges = shell_edges(x_start, x_end, cfg)
     if math.isinf(x_end):
-        if edges[0] != x_start:  # a start at x <= 0
-            edges.insert(0, x_start)
         if abs(edges[-1]) < cfg.x_max:
             edges.append(math.copysign(cfg.x_max, x_end))
         return np.array(edges)
@@ -505,7 +500,6 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
             raise ValueError("traces do not continue one another")
         if cur.x[0] != prev.x[-1]:
             raise GridMismatchError("traces do not share a junction point")
-    integrals = [t.log_square_integrals for t in traces]
     return SolutionTrace(
         eigenvalue=head.eigenvalue,
         x=tuple(chain(head.x, *(t.x[1:] for t in rest))),
@@ -514,9 +508,7 @@ def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
         log_scale=tuple(chain(head.log_scale, *(t.log_scale[1:] for t in rest))),
         potential=head.potential,
         direction=head.direction,
-        log_square_integrals=(
-            None if any(v is None for v in integrals) else tuple(chain(*integrals))
-        ),
+        log_square_integrals=tuple(chain(*(t.log_square_integrals for t in traces))),
     )
 
 

@@ -18,13 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NonFiniteError, OutOfRangeError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class Potential:
@@ -168,7 +164,7 @@ class Tabulated(Potential):
 
     The samples are checked and kept as tuples of floats, which the
     scalar lookup in _raw reads, so a table of plain numbers is built
-    without numpy. The arrays x and q are made on first access.
+    without numpy.
     """
 
     def __init__(self, x: Sequence[float], q: Sequence[float]):
@@ -183,18 +179,6 @@ class Tabulated(Potential):
             raise ValueError("tabulated data must be finite")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_qs", qs)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._xs)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._qs)
 
     def _raw(self, x: float) -> float:
         xs, qs = self._xs, self._qs
@@ -342,15 +326,6 @@ def rho_nl_exact(n: int, l: int) -> Fraction:
     if n < 1 or l < 0:
         raise ValueError("require n >= 1 and l >= 0")
     return Fraction((n - 1) * (n - 3), 4) + Fraction(l * (l + n - 2))
-
-
-def rho_nl(n: int, l: int) -> float:
-    """Centrifugal coefficient of the n-dimensional reduction.
-
-    Equal to (l + (n-2)/2)^2 - 1/4; the two closed forms agree exactly
-    because the arithmetic is done on rationals before conversion.
-    """
-    return float(rho_nl_exact(n, l))
 
 
 def lambda_nl(n: int, l: int) -> Tuple[float, float]:

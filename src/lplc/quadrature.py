@@ -59,12 +59,10 @@ def log_trapezoid(log_y: np.ndarray, x: np.ndarray) -> float:
     return float(np.logaddexp.reduce(terms))
 
 
-def simpson(f, a: float, b: float, panels: int = 2048) -> float:
-    """Composite Simpson rule for a callable on [a, b] with even panel count."""
+def simpson(f, a: float, b: float, panels: int) -> float:
+    """Composite Simpson rule for a callable on [a, b] with an even panel count."""
     import numpy as np
 
-    if panels % 2:
-        panels += 1
     x = np.linspace(a, b, panels + 1)
     y = np.asarray([f(t) for t in x], dtype=float)
     h = (b - a) / panels

@@ -194,7 +194,6 @@ def _clip_samples(coord, vals, lo, hi):
     return np.asarray(xs), np.asarray(ls)
 
 
-_INTEGRAND_NAMES = ("|f|", "|f'|", "|f''|")
 _MEMBERSHIP = {"convergent": True, "divergent": False, "inconclusive": None}
 
 
@@ -205,7 +204,6 @@ class W21Report:
     tails[i] is the dyadic-shell evidence for the i-th integrand, and
     statuses[i] its 'convergent', 'divergent' or 'inconclusive' reading;
     membership verdicts are None when the evidence is inconclusive.
-    `failing` names the first divergent integral.
     """
 
     tails: Tuple[TailReport, TailReport, TailReport]
@@ -222,29 +220,14 @@ class W21Report:
     def in_w21(self) -> Optional[bool]:
         return _MEMBERSHIP[joint_status(self.statuses)]
 
-    @property
-    def failing(self) -> Optional[str]:
-        for name, status in zip(_INTEGRAND_NAMES, self.statuses):
-            if status == "divergent":
-                return name
-        return None
 
-    def verdict(self) -> str:
-        if self.in_w21:
-            return "w21"
-        if self.in_w11:
-            return "w11_only"
-        if self.in_w11 is False or self.in_w21 is False:
-            return "neither"
-        return "inconclusive"
-
-
-def w21_report(f: SampledFunction, *, margin: float = DEFAULT_MARGIN) -> W21Report:
+def w21_report(f: SampledFunction) -> W21Report:
     """Integrable-derivative membership of f near 0.
 
     Requires first and second derivative samples (analytic fixtures, or
-    reconstructed from a differential equation) and a margin in [0, 1).
-    The grid must span at least four dyadic shells toward 0.
+    reconstructed from a differential equation). Each tail reads its
+    shell ratio against the guard band DEFAULT_MARGIN. The grid must span
+    at least four dyadic shells toward 0.
     """
     if f.derivative_values is None or f.second_derivative_values is None:
         raise MissingDerivativeError("w21_report needs f' and f'' samples")
@@ -252,5 +235,5 @@ def w21_report(f: SampledFunction, *, margin: float = DEFAULT_MARGIN) -> W21Repo
     for data in (f.values, f.derivative_values, f.second_derivative_values):
         with np.errstate(divide="ignore"):
             log_v = np.log(np.abs(np.asarray(data, dtype=complex))).real
-        tails.append(TailReport(tuple(dyadic_shell_log_integrals(f.grid, log_v)), margin))
+        tails.append(TailReport(tuple(dyadic_shell_log_integrals(f.grid, log_v)), DEFAULT_MARGIN))
     return W21Report(tuple(tails))

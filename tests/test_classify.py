@@ -286,11 +286,21 @@ class TestNumericEngine:
             (Endpoint(-math.inf, "left"), 1.0, ValueError, "anchor must be negative toward -inf"),
             (PLUS_INF, -1.0, ValueError, "anchor must be positive toward inf"),
             (Endpoint(-math.inf, "left"), -9000.0, InsufficientTailError, "grid toward -inf holds only 0"),
+            # a finite endpoint's anchor must lie strictly on the interval's side
+            (ORIGIN, -1.0, ValueError, r"anchor must be above 0\.0 for a left endpoint, got -1\.0"),
+            (ORIGIN, 0.0, ValueError, r"anchor must be above 0\.0 for a left endpoint, got 0\.0"),
+            (Endpoint(1.0, "right"), 2.0, ValueError, r"anchor must be below 1\.0 for a right endpoint, got 2\.0"),
+            (Endpoint(1.0, "right"), math.nan, ValueError, "anchor must be below 1.0 for a right endpoint, got nan"),
         ],
     )
     def test_errors_name_the_callers_endpoint(self, endpoint, anchor, error, message):
         with pytest.raises(error, match=message):
             classify_numeric(Harmonic(1.0), endpoint, anchor, CFG)
+
+    @pytest.mark.parametrize("position, side", [(math.inf, "left"), (-math.inf, "right")])
+    def test_infinite_endpoint_on_the_wrong_side_rejected(self, position, side):
+        with pytest.raises(ValueError, match=f"a {side} endpoint cannot lie at"):
+            Endpoint(position, side)
 
     def test_step_budget_covers_the_whole_endpoint(self):
         # the march to +inf takes about 1800 attempted steps in all, but

@@ -110,6 +110,10 @@ class TestBoundaryCondition:
             boundary_condition(-0.1)
         with pytest.raises(ValueError):
             boundary_condition(2.0 * math.pi)
+        with pytest.raises(ValueError, match=r"c must lie in \[0, 2\*pi\)"):
+            boundary_condition(math.nan)
+        with pytest.raises(ValueError, match=r"c must lie in \[0, 2\*pi\)"):
+            BoundaryCondition(math.nan, 1.0, 0.0)
 
 
 class TestAdjointRatio:
@@ -126,6 +130,12 @@ class TestAdjointRatio:
     def test_kind_two_singular_at_pi(self):
         with pytest.raises(SingularRatioError):
             adjoint_ratio(math.pi, 2)
+
+    @pytest.mark.parametrize("c", [math.nan, -0.1, 2.0 * math.pi, 10.0])
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_parameter_outside_range_rejected(self, c, kind):
+        with pytest.raises(ValueError, match=r"c must lie in \[0, 2\*pi\)"):
+            adjoint_ratio(c, kind)
 
     def test_reciprocal_consistency(self):
         for c in np.linspace(0.0, 2.0 * math.pi, 97)[:-1]:

@@ -144,6 +144,13 @@ class TestGrids:
         with pytest.raises(RuntimeError, match="bug inside"):
             build_grid(Broken(), 1.0, 0.0, CFG)
 
+    @pytest.mark.parametrize("x_start, x_end", [(0.0, math.inf), (-1.0, math.inf), (1.0, -math.inf)])
+    def test_start_on_the_far_side_of_zero_rejected(self, x_start, x_end):
+        with pytest.raises(ValueError, match="must lie on the side of 0"):
+            shell_edges(x_start, x_end, CFG)
+        with pytest.raises(ValueError, match="must lie on the side of 0"):
+            build_grid(Zero(), x_start, x_end, CFG)
+
     def test_mirror_toward_minus_infinity(self):
         grid = build_grid(Zero(), -1.0, -math.inf, CFG)
         assert grid[0] == -1.0
@@ -171,7 +178,7 @@ class TestFundamentalPair:
         mu = (1.0 - 1j) / SQRT2
         assert abs(mu * mu + 1j) < 1e-15
         cfg = IntegratorConfig(x_max=8.0)
-        traces = fundamental_pair(Zero(), 1j, 0.0, math.inf, cfg)
+        traces = fundamental_pair(Zero(), 1j, 1.0, math.inf, cfg)
         for t in traces:
             vals = t.values()
             dvals = t.derivative_values()
@@ -276,7 +283,7 @@ class TestInvariants:
     def test_rescale_transparency(self):
         cfg_tight = IntegratorConfig(rescale_band=10.0, x_max=12.0)
         cfg_loose = IntegratorConfig(rescale_band=1e12, x_max=12.0)
-        grid = build_grid(Zero(), 0.0, math.inf, cfg_tight)
+        grid = build_grid(Zero(), 1.0, math.inf, cfg_tight)
         t_tight = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg_tight)
         t_loose = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg_loose)
         assert np.max(np.abs(t_tight.log_scale)) > 0.0  # rescaling actually fired

@@ -17,7 +17,6 @@ from lplc.classify import classify_interval
 from lplc.odeint import (
     ComplexState,
     IntegratorConfig,
-    SolutionTrace,
     build_grid,
     concatenate_traces,
     integrate_grid,
@@ -138,15 +137,3 @@ def test_columns_and_concatenation_carry_the_integrals():
     single = integrate_grid(Zero(), 1j, grid, PAIR[0], CFG)
     assert np.shape(single.log_square_integrals) == (grid.size - 1,)
     assert np.allclose(single.log_square_integrals, joined_integrals[:, 0], atol=1e-8)
-
-
-def test_hand_built_traces_carry_no_integrals():
-    def hand_built(x):
-        x = np.asarray(x, dtype=float)
-        return SolutionTrace(1j, x, np.ones(2, complex), np.zeros(2, complex), np.zeros(2), Zero(), 1)
-
-    head, tail = hand_built([1.0, 2.0]), hand_built([2.0, 3.0])
-    assert head.log_square_integrals is None
-    assert concatenate_traces([head, tail]).log_square_integrals is None
-    recorded = integrate_grid(Zero(), 1j, [2.0, 3.0], PAIR[0], CFG)
-    assert concatenate_traces([head, recorded]).log_square_integrals is None
