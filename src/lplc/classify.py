@@ -8,19 +8,24 @@ provided.
 * The asymptotic engine applies the exact origin rule: the operator is
   in the limit-point class at 0 precisely when the coefficient of the
   1/x^2 behaviour of the potential is >= 3/4 (non-strict inequality).
-* The numeric engine integrates a fundamental pair at the probe
-  eigenvalue i toward the endpoint and measures the integrals of |y|^2
-  over successive dyadic shells, which the integrator accumulates inside
-  its steps between shell edges. A geometric decay of the shell
-  integrals certifies square integrability; geometric growth certifies
-  its failure; shell ratios inside a guard band around 1 are reported
-  as inconclusive rather than force-classified, because the borderline
-  |y|^2 ~ 1/x case is genuinely log-divergent. band_status reads one
-  tail, and joint_status composes the tails of an endpoint.
+* The numeric engine integrates one solution, the one with data (1, 0)
+  at the anchor, at the probe eigenvalue i toward the endpoint and
+  measures the integrals of |y|^2 over successive dyadic shells, which
+  the integrator accumulates inside its steps between shell edges. A
+  geometric decay of the shell integrals certifies square
+  integrability; geometric growth certifies its failure; shell ratios
+  inside a guard band around 1 are reported as inconclusive rather than
+  force-classified, because the borderline |y|^2 ~ 1/x case is
+  genuinely log-divergent. band_status reads that one tail.
 
-Which eigenvalue is probed does not matter: if every solution is
-square-integrable near an endpoint for one non-real eigenvalue, the
-same holds for every other one, so a single probe decides the class.
+One solution decides the class (Weyl's alternative). At a non-real
+eigenvalue every solution is square-integrable near a limit-circle end.
+Near a limit-point end only multiples of one solution are, and a
+solution with real data at the anchor is not among them: it would be an
+eigenfunction with a non-real eigenvalue of a self-adjoint operator on
+(anchor, end). Which non-real eigenvalue is probed does not matter
+either: the class is the same for all of them, so a single probe
+decides it.
 The verdicts of both endpoints compose into the deficiency indices
 (2, 2), (1, 1) or (0, 0), and the operator is essentially self-adjoint
 exactly when both endpoints are limit point.
@@ -145,9 +150,9 @@ class TailReport:
 class EndpointClass:
     """Verdict for one endpoint, with the engine that produced it.
 
-    `tails` holds one report per spanning solution of a numeric verdict,
-    the dominant one first at an infinite endpoint. Asymptotic verdicts
-    carry no tail reports.
+    A numeric verdict carries exactly one report in `tails`, the evidence
+    of the solution with data (1, 0) at the anchor. Asymptotic verdicts
+    carry none.
     """
 
     verdict: EndpointVerdict
@@ -161,17 +166,13 @@ class EndpointClass:
                 raise ValueError("asymptotic verdicts carry no tail report")
             if self.verdict is EndpointVerdict.INCONCLUSIVE:
                 raise ValueError("the asymptotic engine is never inconclusive")
+        elif len(self.tails) != 1:
+            raise ValueError(f"a numeric verdict carries exactly one tail report, got {len(self.tails)}")
 
     @property
     def tail(self) -> Optional[TailReport]:
-        """The report that decided the verdict, or None without tails.
-
-        For LC the slowest-decaying tail, otherwise the first tail whose
-        status gives the verdict (the divergent one for LP).
-        """
-        if self.verdict is EndpointVerdict.LIMIT_CIRCLE and self.tails:
-            return max(self.tails, key=lambda r: r.fitted_exponent)
-        return next((r for r in self.tails if _VERDICT_OF_STATUS[r.status] is self.verdict), None)
+        """The report that decided a numeric verdict, or None for an asymptotic one."""
+        return self.tails[0] if self.tails else None
 
 
 @dataclass(frozen=True)
@@ -293,22 +294,22 @@ def classify_numeric(
 ) -> EndpointClass:
     """Numeric endpoint classification at a non-real probe eigenvalue.
 
-    A fundamental pair is integrated from the anchor toward the endpoint,
-    over the first max_shells whole shells of odeint.shell_edges. Each
-    spanning solution gets a dyadic-shell report, and
-    joint_status composes the two: limit circle iff both tails converge,
-    limit point if at least one diverges, inconclusive when a fitted
-    ratio falls inside the guard band (margin in [0, 1)). The shell march
-    stops early once divergence is decisive, so rapidly growing solutions
-    are not chased across the whole range. The anchor must lie on the
-    interval's side of a finite endpoint, and on the endpoint's side of 0
-    toward an infinite one, where the subdominant solution is recovered
-    by one reverse integration from the last shell reached, which
-    suppresses contamination by the growing mode.
+    The solution with data (1, 0) at the anchor is integrated toward the
+    endpoint, over the first max_shells whole shells of
+    odeint.shell_edges, and its dyadic-shell report decides the verdict:
+    limit circle if its tail converges, limit point if it diverges,
+    inconclusive when the fitted ratio falls inside the guard band
+    (margin in [0, 1)). The shell march stops early once divergence is
+    decisive, so rapidly growing solutions are not chased across the
+    whole range. The anchor must lie on the interval's side of a finite
+    endpoint, and on the endpoint's side of 0 toward an infinite one.
     """
     _check_margin(margin)
     if not (isinstance(max_shells, int) and max_shells >= DEFAULT_MIN_SHELLS):
         raise ValueError(f"max_shells must be an integer of at least {DEFAULT_MIN_SHELLS}, got {max_shells!r}")
+    eigenvalue = complex(eigenvalue)
+    if not (math.isfinite(eigenvalue.real) and math.isfinite(eigenvalue.imag) and eigenvalue.imag != 0.0):
+        raise ValueError(f"eigenvalue must be finite and non-real, got {eigenvalue!r}")
     cfg = cfg or IntegratorConfig()
     if endpoint.is_infinite:
         if not anchor * math.copysign(1.0, endpoint.position) > 0.0:
@@ -323,36 +324,21 @@ def classify_numeric(
         raise InsufficientTailError(
             f"the shell grid toward {endpoint.label()} holds only {n_shells} whole shells"
         )
-    # March the fundamental pair shell by shell: shell k runs from edges[k]
-    # to edges[k + 1], and its log integral of |y|^2 is the one the
+    # March the solution shell by shell: shell k runs from edges[k] to
+    # edges[k + 1], and its log integral of |y|^2 is the one the
     # integrator accumulated inside its steps. One stepper per endpoint:
-    # its step budget covers both marches.
+    # its step budget covers the whole march.
     stepper = _Stepper(q, eigenvalue, cfg)
-    states = [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)]
-    shell_logs: List[List[float]] = [[], []]
+    state = ComplexState(1.0, 0.0)
+    logs: List[float] = []
     for k in range(n_shells):
-        columns = integrate_grid(q, eigenvalue, edges[k : k + 2], states, cfg, _stepper=stepper).columns()
-        for logs, col in zip(shell_logs, columns):
-            logs.append(col.log_square_integrals[0])
-        states = [col.final_state for col in columns]
-        if any(_decisively_divergent(logs) for logs in shell_logs):
+        shell = integrate_grid(q, eigenvalue, edges[k : k + 2], state, cfg, _stepper=stepper)
+        logs.append(shell.log_square_integrals[0])
+        state = shell.final_state
+        if _decisively_divergent(logs):
             break
-    reports = [TailReport(tuple(logs), margin) for logs in shell_logs]
-    if endpoint.is_infinite:
-        # Keep the more divergent forward report as the dominant-solution
-        # evidence and swap the other for the subdominant tail, recovered
-        # by one backward integration across every shell the forward march
-        # reached: backward in x the solution that decays toward infinity
-        # is the growing one, so any seed relaxes onto it away from the
-        # start point.
-        dominant = max(reports, key=lambda r: r.fitted_exponent)
-        reached = len(shell_logs[0])
-        back = integrate_grid(
-            q, eigenvalue, edges[reached::-1], ComplexState(1.0, 0.0), cfg, _stepper=stepper
-        )
-        reports = [dominant, TailReport(back.log_square_integrals[::-1], margin)]  # shells toward the endpoint
-    status = joint_status([r.status for r in reports])
-    return EndpointClass(verdict=_VERDICT_OF_STATUS[status], engine=Engine.NUMERIC, tails=tuple(reports))
+    tail = TailReport(tuple(logs), margin)
+    return EndpointClass(verdict=_VERDICT_OF_STATUS[tail.status], engine=Engine.NUMERIC, tails=(tail,))
 
 
 def deficiency_indices(class_left: EndpointClass, class_right: EndpointClass) -> DeficiencyIndices:

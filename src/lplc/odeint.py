@@ -1,29 +1,27 @@
 """Adaptive integration of -y'' + q(x) y = l y as a first-order system.
 
 The equation is advanced as (y, y') with an embedded Dormand-Prince 5(4)
-pair under PI step-size control. Several solution columns, such as a
-fundamental pair, can share one step sequence: q depends only on x, so
-each attempted step evaluates q once per new stage abscissa (5 times;
-the value at the step's start is carried over from the previous step)
-and every column uses those values. A step is accepted only when the
-error norm of every column is at most 1, each column measured against
-its own scale abs_tol + rel_tol * |state|.
+pair under PI step-size control, one solution per run. Each attempted
+step evaluates q once per new stage abscissa (5 times; the value at the
+step's start is carried over from the previous step), and a step is
+accepted when its error norm, measured against the scale
+abs_tol + rel_tol * |state|, is at most 1. A fundamental pair is two
+runs on one recording grid.
 
-Because one solution typically grows exponentially toward a singular
-endpoint when Im(l) != 0, each column is kept inside a fixed magnitude
-band: whenever |y| + |y'| leaves the band the column is divided by its
-sum and the logarithm of that factor is accumulated in the column's own
-log scale, so the true solution at a grid point is
-exp(log_scale) * (y, y'). The equation is linear, which makes the
-rescaling exact.
+Because a solution typically grows exponentially toward a singular
+endpoint when Im(l) != 0, the state is kept inside a fixed magnitude
+band: whenever |y| + |y'| leaves the band the state is divided by its
+sum and the logarithm of that factor is accumulated in a log scale, so
+the true solution at a grid point is exp(log_scale) * (y, y'). The
+equation is linear, which makes the rescaling exact.
 
 Each advance also integrates |y|^2 |dx| over the interval it crosses, as
 a quadrature component appended to the system: the step's contribution
 is h * sum(b_i |y_i|^2) over the stage values y_i with the 5th-order
 weights b_i, so it costs no q evaluation and leaves step control on
-(y, y') alone. The sum is kept in the column's current scale and folded
+(y, y') alone. The sum is kept in the solution's current scale and folded
 into a log-domain total at every rescale, so it never overflows however
-far the column grows or decays. integrate_grid returns one log integral
+far the solution grows or decays. integrate_grid returns one log integral
 per recording interval, in a trace of plain tuples, so integration and
 every classify run load no numpy: only the functions that compute on
 whole arrays import it.
@@ -47,8 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import itemgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import (
     GridMismatchError,
@@ -133,31 +130,17 @@ class SolutionTrace:
     x; log_scale holds the accumulated logarithmic factors, so
     exp(log_scale[i]) * y[i] is the true solution value at x[i].
     log_square_integrals[i] is the log of the integral of |true y|^2
-    over [x[i], x[i+1]], taken by the integrator inside its steps. For
-    solutions advanced together each entry of y, dy, log_scale and
-    log_square_integrals is a tuple over the columns; columns() splits
-    them, and final_state needs a single column.
+    over [x[i], x[i+1]], taken by the integrator inside its steps.
     """
 
     eigenvalue: complex
     x: Tuple[float, ...]
-    y: tuple
-    dy: tuple
-    log_scale: tuple
+    y: Tuple[complex, ...]
+    dy: Tuple[complex, ...]
+    log_scale: Tuple[float, ...]
     potential: Potential
     direction: int
-    log_square_integrals: tuple
-
-    def columns(self) -> Tuple["SolutionTrace", ...]:
-        """One single-solution trace per column (the trace itself if it has none)."""
-        if not isinstance(self.y[0], tuple):
-            return (self,)
-        return tuple(
-            SolutionTrace(self.eigenvalue, self.x, y, dy, ls, self.potential, self.direction, li)
-            for y, dy, ls, li in zip(
-                zip(*self.y), zip(*self.dy), zip(*self.log_scale), zip(*self.log_square_integrals)
-            )
-        )
+    log_square_integrals: Tuple[float, ...]
 
     @property
     def final_state(self) -> ComplexState:
@@ -189,9 +172,8 @@ def _normalized(y: complex, dy: complex, log_scale: float, band: float) -> Tuple
 class _Stepper:
     """Dormand-Prince 5(4) with PI control for y'' = (q - l) y.
 
-    One stepper advances any number of solution columns on one shared
-    step sequence. It persists across consecutive advance() calls: the
-    step size, the PI error history, the value of q at the last abscissa
+    One stepper advances one solution. It persists across consecutive
+    advance() calls: the step size, the PI error history, the value of q at the last abscissa
     reached, and the count of attempted steps, which cfg.max_steps
     bounds over the stepper's whole life.
     """
@@ -206,13 +188,12 @@ class _Stepper:
         self.x: Optional[float] = None  # abscissa of the carried value p = q(x) - l
         self.p = 0j
 
-    def advance(self, x0: float, x1: float, ys: Sequence[complex], dys: Sequence[complex],
-                log_scales: Sequence[float]):
-        """Integrate the columns (ys, dys, log_scales) from x0 to x1 (either direction).
+    def advance(self, x0: float, x1: float, y: complex, dy: complex, log_scale: float):
+        """Integrate the state (y, dy, log_scale) from x0 to x1 (either direction).
 
-        Returns new lists (ys, dys, log_scales, log_integrals); each
-        column is rescaled into the band on its own, and log_integrals[j]
-        is the log of the integral of |true y_j|^2 |dx| from x0 to x1.
+        Returns (y, dy, log_scale, log_integral): the state is rescaled
+        into the band, and log_integral is the log of the integral of
+        |true y|^2 |dx| from x0 to x1.
         """
         cfg = self.cfg
         q, l = self.q, self.l
@@ -227,14 +208,12 @@ class _Stepper:
         if self.x != x0:
             self.x, self.p = x0, evaluate(q, x0) - l
         p1 = self.p
-        ys, dys, log_scales = list(ys), list(dys), list(log_scales)
-        cols = range(len(ys))
-        # Integral of |y|^2 since the column's last rescale, in its current
-        # scale, and the log of everything before that.
-        sums = [0.0 for _ in cols]
-        log_integrals = [-math.inf for _ in cols]
+        # Integral of |y|^2 since the last rescale, in the current scale,
+        # and the log of everything before that.
+        total = 0.0
+        log_integral = -math.inf
         if self.h == 0.0:
-            self.h = min(span, *(_initial_step(y, dy, p1, span) for y, dy in zip(ys, dys)))
+            self.h = min(span, _initial_step(y, dy, p1, span))
         x = x0
         while True:
             remaining = abs(x1 - x)
@@ -263,67 +242,52 @@ class _Stepper:
             b61, b62, b63, b64, b65 = hs * _A61, hs * _A62, hs * _A63, hs * _A64, hs * _A65
             b71, b73, b74, b75, b76 = hs * _A71, hs * _A73, hs * _A74, hs * _A75, hs * _A76
             e1, e3, e4, e5, e6, e7 = hs * _E1, hs * _E3, hs * _E4, hs * _E5, hs * _E6, hs * _E7
-            err2 = 0.0
-            ys_new = []
-            dys_new = []
-            quads = []
-            for j in cols:
-                # Stage i has input (yi, di) and derivative (di, ki) with ki = pi * yi.
-                y = ys[j]
-                d1 = dys[j]
-                k1 = p1 * y
-                y2 = y + b21 * d1
-                d2 = d1 + b21 * k1
-                k2 = p2 * y2
-                y3 = y + b31 * d1 + b32 * d2
-                d3 = d1 + b31 * k1 + b32 * k2
-                k3 = p3 * y3
-                y4 = y + b41 * d1 + b42 * d2 + b43 * d3
-                d4 = d1 + b41 * k1 + b42 * k2 + b43 * k3
-                k4 = p4 * y4
-                y5 = y + b51 * d1 + b52 * d2 + b53 * d3 + b54 * d4
-                d5 = d1 + b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4
-                k5 = p5 * y5
-                y6 = y + b61 * d1 + b62 * d2 + b63 * d3 + b64 * d4 + b65 * d5
-                d6 = d1 + b61 * k1 + b62 * k2 + b63 * k3 + b64 * k4 + b65 * k5
-                k6 = p6 * y6
-                y7 = y + b71 * d1 + b73 * d3 + b74 * d4 + b75 * d5 + b76 * d6
-                d7 = d1 + b71 * k1 + b73 * k3 + b74 * k4 + b75 * k5 + b76 * k6
-                k7 = p6 * y7
-                err_y = e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7
-                err_dy = e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-                # 5th-order quadrature of |y|^2 over the step, per unit |h|
-                a1, a3, a4, a5, a6 = abs(y), abs(y3), abs(y4), abs(y5), abs(y6)
-                quads.append(_A71 * a1 * a1 + _A73 * a3 * a3 + _A74 * a4 * a4
-                             + _A75 * a5 * a5 + _A76 * a6 * a6)
-                sc_y = abs_tol + rel_tol * max(a1, abs(y7))
-                sc_dy = abs_tol + rel_tol * max(abs(d1), abs(d7))
-                col_err2 = (abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2
-                if not col_err2 <= err2:  # also propagates NaN
-                    err2 = col_err2
-                ys_new.append(y7)
-                dys_new.append(d7)
-            err = math.sqrt(0.5 * err2)
+            # Stage i has input (yi, di) and derivative (di, ki) with ki = pi * yi.
+            d1 = dy
+            k1 = p1 * y
+            y2 = y + b21 * d1
+            d2 = d1 + b21 * k1
+            k2 = p2 * y2
+            y3 = y + b31 * d1 + b32 * d2
+            d3 = d1 + b31 * k1 + b32 * k2
+            k3 = p3 * y3
+            y4 = y + b41 * d1 + b42 * d2 + b43 * d3
+            d4 = d1 + b41 * k1 + b42 * k2 + b43 * k3
+            k4 = p4 * y4
+            y5 = y + b51 * d1 + b52 * d2 + b53 * d3 + b54 * d4
+            d5 = d1 + b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4
+            k5 = p5 * y5
+            y6 = y + b61 * d1 + b62 * d2 + b63 * d3 + b64 * d4 + b65 * d5
+            d6 = d1 + b61 * k1 + b62 * k2 + b63 * k3 + b64 * k4 + b65 * k5
+            k6 = p6 * y6
+            y7 = y + b71 * d1 + b73 * d3 + b74 * d4 + b75 * d5 + b76 * d6
+            d7 = d1 + b71 * k1 + b73 * k3 + b74 * k4 + b75 * k5 + b76 * k6
+            k7 = p6 * y7
+            err_y = e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7
+            err_dy = e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
+            # 5th-order quadrature of |y|^2 over the step, per unit |h|
+            a1, a3, a4, a5, a6 = abs(y), abs(y3), abs(y4), abs(y5), abs(y6)
+            quad = _A71 * a1 * a1 + _A73 * a3 * a3 + _A74 * a4 * a4 + _A75 * a5 * a5 + _A76 * a6 * a6
+            sc_y = abs_tol + rel_tol * max(a1, abs(y7))
+            sc_dy = abs_tol + rel_tol * max(abs(d1), abs(d7))
+            err = math.sqrt(0.5 * ((abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2))
             if not math.isfinite(err):
                 raise NonFiniteError(f"integration blew up near x={x}")
             if err <= 1.0:
                 x = x_new
                 self.x = x
                 self.p = p1 = p6
-                for j in cols:
-                    y, dy = ys_new[j], dys_new[j]
-                    sums[j] += h * quads[j]
-                    s = abs(y) + abs(dy)
-                    if s == 0.0 or not math.isfinite(s):
-                        raise NonFiniteError(f"solution state degenerate at x={x}")
-                    if s > band or s < inv_band:
-                        log_integrals[j] = _fold(log_integrals[j], sums[j], log_scales[j])
-                        sums[j] = 0.0
-                        y /= s
-                        dy /= s
-                        log_scales[j] += math.log(s)
-                    ys[j] = y
-                    dys[j] = dy
+                total += h * quad
+                s = abs(y7) + abs(d7)
+                if s == 0.0 or not math.isfinite(s):
+                    raise NonFiniteError(f"solution state degenerate at x={x}")
+                if s > band or s < inv_band:
+                    log_integral = _fold(log_integral, total, log_scale)
+                    total = 0.0
+                    y7 /= s
+                    d7 /= s
+                    log_scale += math.log(s)
+                y, dy = y7, d7
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -331,9 +295,7 @@ class _Stepper:
                 self.err_prev = max(err, 1e-10)
                 self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 if final:
-                    for j in cols:
-                        log_integrals[j] = _fold(log_integrals[j], sums[j], log_scales[j])
-                    return ys, dys, log_scales, log_integrals
+                    return y, dy, log_scale, _fold(log_integral, total, log_scale)
             else:
                 factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
                 self.h = h * factor
@@ -349,7 +311,7 @@ def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:
 
 
 def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
-    """First step guess for one column: 1 % of its scale over its rate of change."""
+    """First step guess: 1 % of the state's scale over its rate of change."""
     rate = abs(dy) + abs(p * y)
     if rate > 0.0:
         return 0.01 * (abs(y) + abs(dy)) / rate
@@ -412,16 +374,13 @@ def integrate_grid(
     q: Potential,
     l: complex,
     grid: Sequence[float],
-    init: Union[ComplexState, Sequence[ComplexState]],
+    init: ComplexState,
     cfg: Optional[IntegratorConfig] = None,
     *,
     _stepper: Optional[_Stepper] = None,
 ) -> SolutionTrace:
     """Integrate -y'' + q y = l y recording the state at every grid point.
 
-    `init` is one initial state, or a sequence of them advanced together
-    on one step sequence; then each entry of the trace's y, dy, log_scale
-    and log_square_integrals is a tuple with one value per initial state.
     cfg.max_steps bounds the attempted steps of this call, or of every
     call sharing `_stepper`.
     """
@@ -438,27 +397,15 @@ def integrate_grid(
     if not (all(x0 < x1 for x0, x1 in pairs) or all(x0 > x1 for x0, x1 in pairs)):
         raise ValueError("grid must be strictly monotone")
     l = complex(l)
-    single = isinstance(init, ComplexState)
-    states = (init,) if single else tuple(init)
-    if not states:
-        raise ValueError("need at least one initial state")
-    columns = [
-        _normalized(complex(s.y), complex(s.dy), float(s.log_scale), cfg.rescale_band)
-        for s in states
-    ]
-    ys, dys, lss = (list(c) for c in zip(*columns))
-    rows = [(ys, dys, lss)]
-    integral_rows = []
+    state = _normalized(complex(init.y), complex(init.dy), float(init.log_scale), cfg.rescale_band)
+    rows = [state]
+    integrals = []
     stepper = _stepper or _Stepper(q, l, cfg)
     for x0, x1 in pairs:
-        ys, dys, lss, integrals = stepper.advance(x0, x1, ys, dys, lss)
-        rows.append((ys, dys, lss))
-        integral_rows.append(integrals)
-    y_rows, dy_rows, ls_rows = zip(*rows)
-    entry = itemgetter(0) if single else tuple
-    y, dy, log_scale, log_square_integrals = (
-        tuple(map(entry, r)) for r in (y_rows, dy_rows, ls_rows, integral_rows)
-    )
+        *state, integral = stepper.advance(x0, x1, *state)
+        rows.append(state)
+        integrals.append(integral)
+    y, dy, log_scale = zip(*rows)
     return SolutionTrace(
         eigenvalue=l,
         x=points,
@@ -467,7 +414,7 @@ def integrate_grid(
         log_scale=log_scale,
         potential=q,
         direction=1 if points[-1] > points[0] else -1,
-        log_square_integrals=log_square_integrals,
+        log_square_integrals=tuple(integrals),
     )
 
 
@@ -480,14 +427,16 @@ def fundamental_pair(
 ) -> Tuple[SolutionTrace, SolutionTrace]:
     """Two solutions with data (1, 0) and (0, 1) at the anchor x0.
 
-    Their Wronskian equals 1 at the anchor, so they span the full
-    solution space of the equation at this eigenvalue.
+    Each is its own run on the same recording grid. Their Wronskian
+    equals 1 at the anchor, so they span the full solution space of the
+    equation at this eigenvalue.
     """
     cfg = cfg or IntegratorConfig()
     grid = build_grid(q, x0, target, cfg)
-    pair = integrate_grid(q, l, grid, (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)), cfg)
-    first, second = pair.columns()
-    return first, second
+    return (
+        integrate_grid(q, l, grid, ComplexState(1.0, 0.0), cfg),
+        integrate_grid(q, l, grid, ComplexState(0.0, 1.0), cfg),
+    )
 
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:

@@ -121,15 +121,17 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def golden_fit_windows():
-    """The finite last-DEFAULT_FIT_WINDOW windows of every tail in the golden classify reports."""
+    """The finite DEFAULT_FIT_WINDOW-shell windows of every tail in the golden classify reports."""
     cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
     windows = []
     for name in sorted(name for name, case in cases.items() if "problem" in case):
         for endpoint in json.loads((GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"))["endpoints"]:
             for solution in endpoint.get("solutions", []):
-                window = solution["log_shells"][-DEFAULT_FIT_WINDOW:]
-                if all(isinstance(v, float) and math.isfinite(v) for v in window):
-                    windows.append(window)
+                logs = solution["log_shells"]
+                for start in range(max(1, len(logs) - DEFAULT_FIT_WINDOW + 1)):
+                    window = logs[start : start + DEFAULT_FIT_WINDOW]
+                    if all(isinstance(v, float) and math.isfinite(v) for v in window):
+                        windows.append(window)
     return windows
 
 
@@ -187,13 +189,13 @@ from lplc.odeint import ComplexState, integrate_grid
 from lplc.potentials import Coulomb
 tail = TailReport((0.0, -1.0, -2.0, -3.0, -4.0), 0.15)
 assert tail.status == "convergent" and tail.fitted_ratio < 0.5
-lc = EndpointClass(EndpointVerdict.LIMIT_CIRCLE, Engine.NUMERIC, (tail, tail))
+lc = EndpointClass(EndpointVerdict.LIMIT_CIRCLE, Engine.NUMERIC, (tail,))
 assert lc.tail is tail
 report = ClassificationReport(0.0, 1.0, lc, lc)
 assert (report.indices.n_plus, report.self_adjointness.extension_dimension) == (2, 4)
 assert "numpy" not in sys.modules
-pair = integrate_grid(Coulomb(-1.0), 1j, [1.0, 2.0, 4.0], (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)))
-assert len(pair.columns()) == 2 and len(pair.log_square_integrals) == 2
+trace = integrate_grid(Coulomb(-1.0), 1j, [1.0, 2.0, 4.0], ComplexState(1.0, 0.0))
+assert len(trace.y) == 3 and len(trace.log_square_integrals) == 2
 report = classify_interval(Coulomb(-1.0), 0.0, math.inf, engine="numeric")
 assert report.self_adjointness.label() == "needs_boundary_conditions"
 assert "numpy" not in sys.modules
@@ -240,10 +242,8 @@ class TestNumericEngine:
         cls = classify_numeric(Zero(), PLUS_INF, 1.0, CFG)
         assert cls.verdict is LP
         assert cls.engine is Engine.NUMERIC
-        assert cls.tail is not None and cls.tail.status == "divergent"
-        # the reverse-recovered subdominant tail is square integrable
-        sub = cls.tails[1]
-        assert sub.status == "convergent"
+        # one solution decides: the (1, 0) column's tail diverges
+        assert cls.tails == (cls.tail,) and cls.tail.status == "divergent"
 
     def test_free_at_regular_origin_limit_circle(self):
         cls = classify_numeric(Zero(), ORIGIN, 1.0, CFG)
@@ -297,16 +297,29 @@ class TestNumericEngine:
         with pytest.raises(error, match=message):
             classify_numeric(Harmonic(1.0), endpoint, anchor, CFG)
 
+    @pytest.mark.parametrize(
+        "eigenvalue, shown",
+        [(0.0, "0j"), (1.0, r"\(1\+0j\)"), (complex(math.nan, 1.0), r"\(nan\+1j\)"), (complex(0.0, math.inf), "infj")],
+    )
+    def test_real_or_non_finite_probe_rejected(self, eigenvalue, shown, monkeypatch):
+        # at a real eigenvalue the (1, 0) solution can be an eigenfunction,
+        # L^2 at a limit-point end, so one solution no longer decides
+        import lplc.classify
+
+        monkeypatch.setattr(lplc.classify, "integrate_grid", None)  # nothing is marched
+        with pytest.raises(ValueError, match=f"eigenvalue must be finite and non-real, got {shown}"):
+            classify_numeric(Zero(), PLUS_INF, 1.0, CFG, eigenvalue=eigenvalue)
+
     @pytest.mark.parametrize("position, side", [(math.inf, "left"), (-math.inf, "right")])
     def test_infinite_endpoint_on_the_wrong_side_rejected(self, position, side):
         with pytest.raises(ValueError, match=f"a {side} endpoint cannot lie at"):
             Endpoint(position, side)
 
     def test_step_budget_covers_the_whole_endpoint(self):
-        # the march to +inf takes about 1800 attempted steps in all, but
-        # fewer than 1000 in any one shell: the budget is per endpoint
-        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x="):
-            classify_numeric(PowerLaw(0.5, 1.0), PLUS_INF, 1.0, IntegratorConfig(max_steps=1000))
+        # the march to +inf takes about 1430 attempted steps over 4 shells,
+        # but at most about 930 in any one shell: the budget is per endpoint
+        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x=12\.6"):
+            classify_numeric(PowerLaw(2.0, 1.0), PLUS_INF, 1.0, IntegratorConfig(max_steps=1000))
 
 
     def test_reverse_pass_records_on_the_forward_points(self, monkeypatch):
@@ -321,13 +334,11 @@ class TestNumericEngine:
 
         monkeypatch.setattr(lplc.classify, "integrate_grid", recording)
         classify_numeric(Zero(), PLUS_INF, 1.0, CFG)
-        forward = [g for g in grids if g[-1] > g[0]]
-        reverse = [g for g in grids if g[-1] < g[0]]
-        assert len(forward) >= 4 and len(reverse) == 1
-        edges = shell_edges(1.0, math.inf, CFG)[: len(forward) + 1]
-        for k, f in enumerate(forward):
-            assert np.array_equal(f, edges[k : k + 2])
-        assert np.array_equal(reverse[0], edges[::-1])
+        # one forward call per shell, and no grid runs backward
+        assert len(grids) >= 4 and all(g[-1] > g[0] for g in grids)
+        edges = shell_edges(1.0, math.inf, CFG)[: len(grids) + 1]
+        for k, g in enumerate(grids):
+            assert np.array_equal(g, edges[k : k + 2])
 
     @pytest.mark.xfail(
         strict=True,
@@ -376,9 +387,15 @@ class TestComposition:
 
     def test_inconclusive_rejected(self):
         lc = EndpointClass(LC, Engine.ASYMPTOTIC)
-        inc = EndpointClass(INC, Engine.NUMERIC)
+        inc = EndpointClass(INC, Engine.NUMERIC, (TailReport((0.0,) * 4, DEFAULT_MARGIN),))
         with pytest.raises(InconclusiveInputError):
             deficiency_indices(lc, inc)
+
+    @pytest.mark.parametrize("n_tails", [0, 2])
+    def test_numeric_verdict_carries_exactly_one_tail(self, n_tails):
+        tail = TailReport((0.0, -1.0, -2.0, -3.0), DEFAULT_MARGIN)
+        with pytest.raises(ValueError, match=f"exactly one tail report, got {n_tails}"):
+            EndpointClass(LC, Engine.NUMERIC, (tail,) * n_tails)
 
     def test_verdict_dimensions(self):
         assert verdict(DeficiencyIndices(0, 0)).essentially_self_adjoint is True

@@ -190,29 +190,7 @@ class TestFundamentalPair:
 
 
 class TestSharedMarch:
-    """Columns advanced together on one step sequence."""
-
-    SEEDS = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
-
-    @pytest.mark.parametrize(
-        "q, grid",
-        [
-            (Coulomb(-1.0), np.geomspace(1.0, 1e-8, 429)),
-            (Coulomb(2.0), np.geomspace(1.0, 64.0, 97)),
-            (InverseSquare(2.0), np.geomspace(1.0, 1e-4, 213)),
-            (InverseSquare(-0.2), np.geomspace(1.0, 64.0, 97)),
-        ],
-    )
-    def test_pair_columns_match_separate_runs(self, q, grid):
-        pair = integrate_grid(q, 1j, grid, self.SEEDS, CFG)
-        assert np.shape(pair.y) == np.shape(pair.log_scale) == (grid.size, 2)
-        for column, seed in zip(pair.columns(), self.SEEDS):
-            alone = integrate_grid(q, 1j, grid, seed, CFG)
-            for got, want in (
-                (column.values(), alone.values()),
-                (column.derivative_values(), alone.derivative_values()),
-            ):
-                assert np.all(np.abs(got - want) <= 10 * CFG.rel_tol * np.abs(want))
+    """A fundamental pair: two separate runs on one recording grid."""
 
     @pytest.mark.parametrize(
         "q, x0, target",
@@ -226,9 +204,7 @@ class TestSharedMarch:
     )
     def test_det_y_stays_one(self, q, x0, target):
         # Abel: the Wronskian det Y of the pair is constant, 1 at the anchor
-        grid = build_grid(q, x0, target, CFG)
-        pair = integrate_grid(q, 1j, grid, self.SEEDS, CFG)
-        det_y = wronskian_values(*pair.columns())
+        det_y = wronskian_values(*fundamental_pair(q, 1j, x0, target, CFG))
         assert np.max(np.abs(det_y - 1.0)) < 1e3 * CFG.rel_tol
 
 

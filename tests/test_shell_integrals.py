@@ -72,25 +72,26 @@ def test_oracle_agrees_with_direct_quadrature():
 def test_numeric_engine_shells_match_closed_form():
     # anchor 1.75; shell k lies between distances 0.75 * 2^-k and
     # 0.75 * 2^-(k+1) from the endpoint, i.e. |t| from 0.75 (1 - 2^-k)
-    # to 0.75 (1 - 2^-(k+1)); |y|^2 is even in t, so both ends agree
+    # to 0.75 (1 - 2^-(k+1)); |y|^2 is even in t, so both ends
+    # agree. The engine marches the solution with data (1, 0): cosh(mu t).
     report = classify_interval(Zero(), 1.0, 2.5, engine="numeric")
     for side, ep in (("left", report.left), ("right", report.right)):
-        assert len(ep.tails) == 2
-        for column, tail in enumerate(ep.tails):
-            assert len(tail.log_shell_integrals) == 12
-            for k, value in enumerate(tail.log_shell_integrals):
-                t0, t1 = 0.75 * (1 - 2.0**-k), 0.75 * (1 - 2.0 ** -(k + 1))
-                assert abs(value - pair_log_integrals(MU, t0, t1)[column]) < 1e-8, (side, column, k)
+        (tail,) = ep.tails
+        assert len(tail.log_shell_integrals) == 12
+        for k, value in enumerate(tail.log_shell_integrals):
+            t0, t1 = 0.75 * (1 - 2.0**-k), 0.75 * (1 - 2.0 ** -(k + 1))
+            assert abs(value - pair_log_integrals(MU, t0, t1)[0]) < 1e-8, (side, k)
 
 
 def test_integrate_grid_intervals_match_closed_form():
     edges = shell_edges(1.0, math.inf, CFG)[:5]
     assert edges == [1.0, 2.0, 4.0, 8.0, 16.0]
-    trace = integrate_grid(Zero(), 1j, edges, PAIR, CFG)
-    assert np.shape(trace.log_square_integrals) == (4, 2)
-    for i in range(4):
-        exact = pair_log_integrals(MU, edges[i] - 1.0, edges[i + 1] - 1.0)
-        assert np.max(np.abs(np.asarray(trace.log_square_integrals[i]) - exact)) < 1e-8, i
+    for column, seed in enumerate(PAIR):
+        trace = integrate_grid(Zero(), 1j, edges, seed, CFG)
+        assert len(trace.log_square_integrals) == 4
+        for i, value in enumerate(trace.log_square_integrals):
+            exact = pair_log_integrals(MU, edges[i] - 1.0, edges[i + 1] - 1.0)[column]
+            assert abs(value - exact) < 1e-8, (column, i)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ def test_integrals_do_not_depend_on_rescale_band(q, l, x0, target, n_shells):
     for band in (2.0, 100.0):
         cfg = IntegratorConfig(rescale_band=band)
         edges = shell_edges(x0, target, cfg)[: n_shells + 1]
-        logs.append(np.asarray(integrate_grid(q, l, edges, PAIR, cfg).log_square_integrals))
+        logs.append(np.array([integrate_grid(q, l, edges, seed, cfg).log_square_integrals for seed in PAIR]))
     assert np.all(np.isfinite(logs[0]))
     assert np.max(np.abs(logs[0] - logs[1])) < 1e-9
 
@@ -125,15 +126,15 @@ def test_growing_exponential_over_one_long_interval():
 
 
 def test_columns_and_concatenation_carry_the_integrals():
+    # each seed is its own run; split at the middle point and joined, it
+    # carries the integrals of the unsplit run
     grid = build_grid(Zero(), 1.0, 4.0, CFG)
     half = grid.size // 2
-    first = integrate_grid(Zero(), 1j, grid[: half + 1], PAIR, CFG)
-    second = integrate_grid(Zero(), 1j, grid[half:], [c.final_state for c in first.columns()], CFG)
-    joined = concatenate_traces([first, second])
-    joined_integrals = np.asarray(joined.log_square_integrals)
-    assert joined_integrals.shape == (grid.size - 1, 2)
-    for j, column in enumerate(joined.columns()):
-        assert np.array_equal(column.log_square_integrals, joined_integrals[:, j])
-    single = integrate_grid(Zero(), 1j, grid, PAIR[0], CFG)
-    assert np.shape(single.log_square_integrals) == (grid.size - 1,)
-    assert np.allclose(single.log_square_integrals, joined_integrals[:, 0], atol=1e-8)
+    for seed in PAIR:
+        first = integrate_grid(Zero(), 1j, grid[: half + 1], seed, CFG)
+        second = integrate_grid(Zero(), 1j, grid[half:], first.final_state, CFG)
+        joined = concatenate_traces([first, second])
+        assert joined.log_square_integrals == first.log_square_integrals + second.log_square_integrals
+        single = integrate_grid(Zero(), 1j, grid, seed, CFG)
+        assert len(single.log_square_integrals) == len(joined.log_square_integrals) == grid.size - 1
+        assert np.allclose(single.log_square_integrals, joined.log_square_integrals, atol=1e-8)
