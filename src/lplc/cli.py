@@ -351,14 +351,15 @@ def cmd_effective_potential(args) -> int:
     if not all(0.0 < x < math.inf for x in grid):
         raise ValueError("grid abscissas must be positive and finite")
     out = sys.stdout
-    out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\n")
+    # the header lines end in \r\n, like the csv rows below
+    out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\r\n")
     try:
         origin = _classify.classify_asymptotic(problem)
     except AsymptoticsUnavailableError:
-        out.write("# origin_lp_condition=unknown (no exact origin coefficient)\n")
+        out.write("# origin_lp_condition=unknown (no exact origin coefficient)\r\n")
     else:
         status = "holds" if origin.verdict is _classify.EndpointVerdict.LIMIT_POINT else "fails"
-        out.write(f"# origin_lp_condition={status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)\n")
+        out.write(f"# origin_lp_condition={status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)\r\n")
     writer = csv.writer(out)
     writer.writerow(["x", "v", "v_eff"])
     for x in grid:

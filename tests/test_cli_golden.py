@@ -52,6 +52,19 @@ def test_subcommand_output_matches_golden(capsys, tmp_path, name):
     check(capsys, tmp_path, name)
 
 
+CSV_COMMANDS = sorted(
+    name for name in COMMANDS
+    if CASES[name]["argv"][0] in ("effective-potential", "regularity-demo") or "--sweep" in CASES[name]["argv"]
+)
+
+
+@pytest.mark.parametrize("name", CSV_COMMANDS)
+def test_csv_output_ends_every_line_in_crlf(name):
+    # a table's header lines end like its csv rows, never in a bare \n
+    data = (DATA / f"{name}.stdout").read_bytes()
+    assert data.count(b"\n") == data.count(b"\r\n") > 0
+
+
 def _regenerate() -> None:
     import subprocess
     import tempfile
