@@ -379,7 +379,7 @@ def integrate_grid(
     *,
     _stepper: Optional[_Stepper] = None,
 ) -> SolutionTrace:
-    """Integrate -y'' + q y = l y recording the state at every grid point.
+    """Integrate -y'' + q y = l y from the one state `init`, recording it at every grid point.
 
     cfg.max_steps bounds the attempted steps of this call, or of every
     call sharing `_stepper`.
