@@ -27,14 +27,11 @@ _EXPORTS = {
         "classify_asymptotic",
         "classify_interval",
         "classify_numeric",
-        "deficiency_indices",
-        "verdict",
     ),
     "errors": (
         "AsymptoticsUnavailableError",
         "BumpNotInteriorError",
         "GridMismatchError",
-        "InconclusiveInputError",
         "InsufficientTailError",
         "IntegrationError",
         "LplcError",

@@ -41,11 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    AsymptoticsUnavailableError,
-    InconclusiveInputError,
-    InsufficientTailError,
-)
+from .errors import AsymptoticsUnavailableError, InsufficientTailError
 from .odeint import ComplexState, IntegratorConfig, _Stepper, shell_edges
 from .potentials import EffectiveProblem, Potential
 
@@ -150,29 +146,29 @@ class TailReport:
 class EndpointClass:
     """Verdict for one endpoint, with the engine that produced it.
 
-    A numeric verdict carries exactly one report in `tails`, the evidence
-    of the solution with data (1, 0) at the anchor. Asymptotic verdicts
-    carry none.
+    `tail` is set exactly when the engine is numeric: the evidence of the
+    solution with data (1, 0) at the anchor, which decided the verdict.
     """
 
     verdict: EndpointVerdict
     engine: Engine
-    tails: Tuple[TailReport, ...] = ()
+    tail: Optional[TailReport] = None
     origin_coefficient: Optional[float] = None
 
     def __post_init__(self):
         if self.engine is Engine.ASYMPTOTIC:
-            if self.tails:
+            if self.tail is not None:
                 raise ValueError("asymptotic verdicts carry no tail report")
             if self.verdict is EndpointVerdict.INCONCLUSIVE:
                 raise ValueError("the asymptotic engine is never inconclusive")
-        elif len(self.tails) != 1:
-            raise ValueError(f"a numeric verdict carries exactly one tail report, got {len(self.tails)}")
+        elif self.tail is None:
+            raise ValueError("a numeric verdict carries its tail report")
 
+    # perfbench/tracer.py counts shells through this tuple view of the
+    # one tail, so it stays while the tracer reads it.
     @property
-    def tail(self) -> Optional[TailReport]:
-        """The report that decided a numeric verdict, or None for an asymptotic one."""
-        return self.tails[0] if self.tails else None
+    def tails(self) -> Tuple[TailReport, ...]:
+        return () if self.tail is None else (self.tail,)
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,7 @@ def classify_numeric(
     limit circle if its tail converges, limit point if it diverges,
     inconclusive when the fitted ratio falls inside the guard band
     (margin in [0, 1)). The shell march stops early once divergence is
-    decisive, so rapidly growing solutions are not chased across the
+    decisive, so a rapidly growing solution is not chased across the
     whole range. The anchor must lie on the interval's side of a finite
     endpoint, and on the endpoint's side of 0 toward an infinite one.
     """
@@ -338,24 +334,7 @@ def classify_numeric(
         if _decisively_divergent(logs):
             break
     tail = TailReport(tuple(logs), margin)
-    return EndpointClass(verdict=_VERDICT_OF_STATUS[tail.status], engine=Engine.NUMERIC, tails=(tail,))
-
-
-def deficiency_indices(class_left: EndpointClass, class_right: EndpointClass) -> DeficiencyIndices:
-    """Compose the endpoint classes: each limit-circle end contributes one."""
-    for c in (class_left, class_right):
-        if c.verdict is EndpointVerdict.INCONCLUSIVE:
-            raise InconclusiveInputError("cannot compose an inconclusive endpoint")
-    n = sum(1 for c in (class_left, class_right) if c.verdict is EndpointVerdict.LIMIT_CIRCLE)
-    return DeficiencyIndices(n_plus=n, n_minus=n)
-
-
-def verdict(d: DeficiencyIndices) -> SelfAdjointness:
-    """Essentially self-adjoint iff the indices vanish; else an n^2 family."""
-    return SelfAdjointness(
-        essentially_self_adjoint=(d.n_plus == 0),
-        extension_dimension=d.n_plus * d.n_plus,
-    )
+    return EndpointClass(verdict=_VERDICT_OF_STATUS[tail.status], engine=Engine.NUMERIC, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -373,11 +352,17 @@ class ClassificationReport:
 
     @property
     def indices(self) -> Optional[DeficiencyIndices]:
-        return None if self.inconclusive else deficiency_indices(self.left, self.right)
+        if self.inconclusive:
+            return None
+        # each limit-circle end contributes one
+        n = (self.left.verdict, self.right.verdict).count(EndpointVerdict.LIMIT_CIRCLE)
+        return DeficiencyIndices(n_plus=n, n_minus=n)
 
     @property
     def self_adjointness(self) -> Optional[SelfAdjointness]:
-        return None if self.inconclusive else verdict(self.indices)
+        # essentially self-adjoint iff the indices vanish; else an n^2 family
+        d = self.indices
+        return None if d is None else SelfAdjointness(d.n_plus == 0, d.n_plus * d.n_plus)
 
 
 def default_anchor(a: float, b: float) -> Tuple[float, float]:

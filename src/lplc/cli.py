@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from .errors import AsymptoticsUnavailableError, LplcError
 
 if TYPE_CHECKING:
-    from .classify import ClassificationReport, EndpointClass, TailReport
+    from .classify import ClassificationReport, EndpointClass
     from .odeint import IntegratorConfig
     from .potentials import Potential
 
@@ -111,16 +111,6 @@ def _json_text(payload) -> str:
     return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _tail_dict(tail: TailReport) -> dict:
-    return {
-        "shells": list(tail.shell_integrals),
-        "log_shells": list(tail.log_shell_integrals),
-        "fitted_exponent": tail.fitted_exponent,
-        "fitted_ratio": tail.fitted_ratio,
-        "margin": tail.margin,
-    }
-
-
 def _endpoint_dict(label: str, cls: EndpointClass) -> dict:
     out = {
         "endpoint": label,
@@ -130,9 +120,10 @@ def _endpoint_dict(label: str, cls: EndpointClass) -> dict:
     if cls.origin_coefficient is not None:
         out["origin_coefficient"] = cls.origin_coefficient
     if cls.tail is not None:
-        decisive = _tail_dict(cls.tail)
-        out.update((key, decisive[key]) for key in ("shells", "log_shells", "fitted_exponent", "fitted_ratio"))
-        out["solutions"] = [dict(_tail_dict(t), solution_index=i) for i, t in enumerate(cls.tails, start=1)]
+        out["shells"] = list(cls.tail.shell_integrals)
+        out["log_shells"] = list(cls.tail.log_shell_integrals)
+        out["fitted_exponent"] = cls.tail.fitted_exponent
+        out["fitted_ratio"] = cls.tail.fitted_ratio
     return out
 
 

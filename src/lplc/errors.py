@@ -37,10 +37,6 @@ class AsymptoticsUnavailableError(LplcError):
     """The potential has no exact origin coefficient; use the numeric engine."""
 
 
-class InconclusiveInputError(LplcError):
-    """Deficiency indices cannot be composed from an inconclusive endpoint."""
-
-
 class InsufficientTailError(LplcError):
     """A trace or sample does not span enough dyadic shells for a tail fit."""
 

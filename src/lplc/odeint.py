@@ -425,7 +425,7 @@ def fundamental_pair(
     target: float,
     cfg: Optional[IntegratorConfig] = None,
 ) -> Tuple[SolutionTrace, SolutionTrace]:
-    """Two solutions with data (1, 0) and (0, 1) at the anchor x0.
+    """The fundamental pair: the solution with data (1, 0) and the one with (0, 1) at the anchor x0.
 
     Each is its own run on the same recording grid. Their Wronskian
     equals 1 at the anchor, so they span the full solution space of the

@@ -25,14 +25,11 @@ from lplc.classify import (
     classify_asymptotic,
     classify_interval,
     classify_numeric,
-    deficiency_indices,
     fit_shell_exponent,
     joint_status,
-    verdict,
 )
 from lplc.errors import (
     AsymptoticsUnavailableError,
-    InconclusiveInputError,
     InsufficientTailError,
     MaxStepsExceededError,
 )
@@ -121,17 +118,16 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def golden_fit_windows():
-    """The finite DEFAULT_FIT_WINDOW-shell windows of every tail in the golden classify reports."""
+    """The finite DEFAULT_FIT_WINDOW-shell windows of every numeric endpoint in the golden classify reports."""
     cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
     windows = []
     for name in sorted(name for name, case in cases.items() if "problem" in case):
-        for endpoint in json.loads((GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"))["endpoints"]:
-            for solution in endpoint.get("solutions", []):
-                logs = solution["log_shells"]
-                for start in range(max(1, len(logs) - DEFAULT_FIT_WINDOW + 1)):
-                    window = logs[start : start + DEFAULT_FIT_WINDOW]
-                    if all(isinstance(v, float) and math.isfinite(v) for v in window):
-                        windows.append(window)
+        endpoints = json.loads((GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"))["endpoints"]
+        for logs in (endpoint["log_shells"] for endpoint in endpoints if "log_shells" in endpoint):
+            for start in range(max(1, len(logs) - DEFAULT_FIT_WINDOW + 1)):
+                window = logs[start : start + DEFAULT_FIT_WINDOW]
+                if all(isinstance(v, float) and math.isfinite(v) for v in window):
+                    windows.append(window)
     return windows
 
 
@@ -189,7 +185,7 @@ from lplc.odeint import ComplexState, integrate_grid
 from lplc.potentials import Coulomb
 tail = TailReport((0.0, -1.0, -2.0, -3.0, -4.0), 0.15)
 assert tail.status == "convergent" and tail.fitted_ratio < 0.5
-lc = EndpointClass(EndpointVerdict.LIMIT_CIRCLE, Engine.NUMERIC, (tail,))
+lc = EndpointClass(EndpointVerdict.LIMIT_CIRCLE, Engine.NUMERIC, tail=tail)
 assert lc.tail is tail
 report = ClassificationReport(0.0, 1.0, lc, lc)
 assert (report.indices.n_plus, report.self_adjointness.extension_dimension) == (2, 4)
@@ -243,12 +239,12 @@ class TestNumericEngine:
         assert cls.verdict is LP
         assert cls.engine is Engine.NUMERIC
         # one solution decides: the (1, 0) column's tail diverges
-        assert cls.tails == (cls.tail,) and cls.tail.status == "divergent"
+        assert cls.tail.status == "divergent"
 
     def test_free_at_regular_origin_limit_circle(self):
         cls = classify_numeric(Zero(), ORIGIN, 1.0, CFG)
         assert cls.verdict is LC
-        assert all(t.status == "convergent" for t in cls.tails)
+        assert cls.tail.status == "convergent"
 
     def test_inverse_square_strong_repulsion_limit_point(self):
         cls = classify_numeric(InverseSquare(2.0), ORIGIN, 1.0, CFG)
@@ -268,9 +264,7 @@ class TestNumericEngine:
         # x -> -x maps the march toward -inf onto the one toward +inf
         # with every product and sum negated, which rounds the same
         def bits(cls):
-            return cls.verdict, [
-                ([v.hex() for v in t.log_shell_integrals], t.fitted_exponent.hex()) for t in cls.tails
-            ]
+            return cls.verdict, [v.hex() for v in cls.tail.log_shell_integrals], cls.tail.fitted_exponent.hex()
 
         left = classify_numeric(q, Endpoint(-math.inf, "left"), -1.0, CFG)
         mirrored = classify_numeric(Mirrored(q), PLUS_INF, 1.0, CFG)
@@ -322,7 +316,7 @@ class TestNumericEngine:
             classify_numeric(PowerLaw(2.0, 1.0), PLUS_INF, 1.0, IntegratorConfig(max_steps=1000))
 
 
-    def test_reverse_pass_records_on_the_forward_points(self, monkeypatch):
+    def test_march_runs_forward_shell_by_shell(self, monkeypatch):
         import lplc.classify
 
         grids = []
@@ -372,37 +366,44 @@ class TestNumericEngine:
         assert report.left.verdict is LP
 
 
+def composed(left, right):
+    return ClassificationReport(0.0, 1.0, EndpointClass(left, Engine.ASYMPTOTIC), EndpointClass(right, Engine.ASYMPTOTIC))
+
+
 class TestComposition:
     def test_theorem_cases(self):
-        lc = EndpointClass(LC, Engine.ASYMPTOTIC)
-        lp = EndpointClass(LP, Engine.ASYMPTOTIC)
-        assert deficiency_indices(lc, lc) == DeficiencyIndices(2, 2)
-        assert deficiency_indices(lp, lc) == DeficiencyIndices(1, 1)
-        assert deficiency_indices(lp, lp) == DeficiencyIndices(0, 0)
+        assert composed(LC, LC).indices == DeficiencyIndices(2, 2)
+        assert composed(LP, LC).indices == DeficiencyIndices(1, 1)
+        assert composed(LP, LP).indices == DeficiencyIndices(0, 0)
 
     def test_symmetry(self):
-        lc = EndpointClass(LC, Engine.ASYMPTOTIC)
-        lp = EndpointClass(LP, Engine.ASYMPTOTIC)
-        assert deficiency_indices(lp, lc) == deficiency_indices(lc, lp)
+        assert composed(LP, LC).indices == composed(LC, LP).indices
 
     def test_inconclusive_rejected(self):
-        lc = EndpointClass(LC, Engine.ASYMPTOTIC)
-        inc = EndpointClass(INC, Engine.NUMERIC, (TailReport((0.0,) * 4, DEFAULT_MARGIN),))
-        with pytest.raises(InconclusiveInputError):
-            deficiency_indices(lc, inc)
+        # an inconclusive end leaves the indices and the global verdict open
+        inc = EndpointClass(INC, Engine.NUMERIC, tail=TailReport((0.0,) * 4, DEFAULT_MARGIN))
+        report = ClassificationReport(0.0, 1.0, EndpointClass(LC, Engine.ASYMPTOTIC), inc)
+        assert report.inconclusive
+        assert report.indices is None and report.self_adjointness is None
 
-    @pytest.mark.parametrize("n_tails", [0, 2])
-    def test_numeric_verdict_carries_exactly_one_tail(self, n_tails):
-        tail = TailReport((0.0, -1.0, -2.0, -3.0), DEFAULT_MARGIN)
-        with pytest.raises(ValueError, match=f"exactly one tail report, got {n_tails}"):
-            EndpointClass(LC, Engine.NUMERIC, (tail,) * n_tails)
+    @pytest.mark.parametrize(
+        "engine, tail, message",
+        [
+            (Engine.NUMERIC, None, "a numeric verdict carries its tail report"),
+            (Engine.ASYMPTOTIC, TailReport((0.0, -1.0, -2.0, -3.0), DEFAULT_MARGIN), "asymptotic verdicts carry no tail"),
+        ],
+        ids=["numeric-without", "asymptotic-with"],
+    )
+    def test_tail_is_set_exactly_when_numeric(self, engine, tail, message):
+        with pytest.raises(ValueError, match=message):
+            EndpointClass(LC, engine, tail=tail)
 
     def test_verdict_dimensions(self):
-        assert verdict(DeficiencyIndices(0, 0)).essentially_self_adjoint is True
-        assert verdict(DeficiencyIndices(0, 0)).extension_dimension == 0
-        one = verdict(DeficiencyIndices(1, 1))
+        assert composed(LP, LP).self_adjointness.essentially_self_adjoint is True
+        assert composed(LP, LP).self_adjointness.extension_dimension == 0
+        one = composed(LC, LP).self_adjointness
         assert not one.essentially_self_adjoint and one.extension_dimension == 1
-        assert verdict(DeficiencyIndices(2, 2)).extension_dimension == 4
+        assert composed(LC, LC).self_adjointness.extension_dimension == 4
 
     @pytest.mark.parametrize(
         "statuses, joint",
@@ -544,6 +545,4 @@ class TestClassifyInterval:
         assert (report.left.verdict, report.right.verdict) == (LP, LC)
         assert report.indices == DeficiencyIndices(1, 1)
         mirror = classify_interval(Harmonic(1.0), 0.0, math.inf)
-        assert [t.log_shell_integrals for t in report.left.tails] == [
-            t.log_shell_integrals for t in mirror.right.tails
-        ]
+        assert report.left.tail.log_shell_integrals == mirror.right.tail.log_shell_integrals
