@@ -320,20 +320,20 @@ _DECODERS = {
 
 
 def rho_nl_exact(n: int, l: int) -> Fraction:
-    """Centrifugal coefficient (n-1)(n-3)/4 + l(l+n-2) in exact arithmetic."""
+    """Centrifugal coefficient (n-1)(n-3)/4 + l(l+n-2) in exact arithmetic, within float range."""
     if not (isinstance(n, int) and isinstance(l, int)):
         raise TypeError("n and l must be integers")
     if n < 1 or l < 0:
         raise ValueError("require n >= 1 and l >= 0")
-    return Fraction((n - 1) * (n - 3), 4) + Fraction(l * (l + n - 2))
+    rho = Fraction((n - 1) * (n - 3), 4) + Fraction(l * (l + n - 2))
+    if rho > sys.float_info.max:
+        raise ValueError("'n' and 'l' put the centrifugal coefficient (n-1)(n-3)/4 + l(l+n-2) beyond float range")
+    return rho
 
 
 def lambda_nl(n: int, l: int) -> Tuple[float, float]:
     """Return (lam, L) with lam = l + (n-2)/2 and L = 2*lam + 2."""
-    if not (isinstance(n, int) and isinstance(l, int)):
-        raise TypeError("n and l must be integers")
-    if n < 1 or l < 0:
-        raise ValueError("require n >= 1 and l >= 0")
+    rho_nl_exact(n, l)  # the one check of n and l: lam^2 = rho + 1/4 keeps lam and L in float range
     lam = Fraction(2 * l + n - 2, 2)
     return float(lam), float(2 * lam + 2)
 

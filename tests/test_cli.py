@@ -51,13 +51,14 @@ MALFORMED_VALUES = [
     ({"potential": {"type": "tabulated", "x": ["0", "1", "2", "3"], "q": [0, 0, 0, 0]}}, "x"),
     ({"config": {"probe_eigenvalue": [1.0, 0.0]}}, "probe_eigenvalue"),
     ({"config": {"probe_eigenvalue": [False, True]}}, "probe_eigenvalue"),
+    ({"n": 1e200}, "n"),
 ]
 MALFORMED_VALUE_IDS = ["config-not-an-object", "null-margin", "null-rel-tol", "null-max-shells",
                        "null-anchor", "null-n", "boolean-rel-tol", "boolean-margin", "boolean-n",
                        "string-margin", "string-max-steps", "string-anchor", "fractional-max-shells",
                        "fractional-n", "fractional-l", "infinite-max-steps", "infinite-x-max",
                        "nan-rel-tol", "string-c", "boolean-c", "string-table", "other-probe-eigenvalue",
-                       "boolean-probe-eigenvalue"]
+                       "boolean-probe-eigenvalue", "huge-n"]
 
 
 def write_spec(tmp_path, spec, name="problem.json"):
@@ -440,6 +441,17 @@ class TestEffectivePotentialCommand:
         assert code == 1
         assert "range" in err.lower()
 
+
+    @pytest.mark.parametrize(
+        "key, argv",
+        [("n", ["--n", str(10**200), "--l", "0"]), ("l", ["--n", "3", "--l", str(10**160)])],
+        ids=["n", "l"],
+    )
+    def test_huge_n_or_l_exit_one(self, capsys, key, argv):
+        # the centrifugal coefficient would lie beyond float range
+        code, out, err = run(capsys, ["effective-potential", *argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("lplc: error:") and repr(key) in err and "float range" in err
 
     @pytest.mark.parametrize("grid", ["0.1:inf:3", "0.1:nan:3", "-1:2:4"])
     def test_grid_rejected_before_any_output(self, capsys, grid):

@@ -48,6 +48,12 @@ class TestRhoNl:
         with pytest.raises(TypeError):
             float(rho_nl_exact(3.0, 0))
 
+    @pytest.mark.parametrize("n, l", [(10**200, 0), (3, 10**160), (10**160, 10**160)])
+    def test_coefficient_beyond_float_range_rejected_by_both(self, n, l):
+        for fn in (rho_nl_exact, lambda_nl):
+            with pytest.raises(ValueError, match="beyond float range"):
+                fn(n, l)
+
 
 class TestLambdaNl:
     @pytest.mark.parametrize(
