@@ -15,7 +15,6 @@ an h^2 error model. All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .errors import (
     MissingDerivativeError,
     OutOfRangeError,
 )
+from .odeint import IntegratorConfig, shell_edges
 from .quadrature import cumulative_trapezoid, log_trapezoid, trapezoid
 
 _EPS = float(np.finfo(float).eps)
@@ -154,27 +154,25 @@ def antiderivative_samples(g: SampledFunction, y0: float) -> SampledFunction:
 def dyadic_shell_log_integrals(x: np.ndarray, log_v: np.ndarray) -> List[float]:
     """Log of the integrals of exp(log_v) over dyadic shells toward 0.
 
-    Shells are measured in |x|; shell k spans one factor of two, ordered
-    so that increasing k approaches 0, for at most _MAX_SHELLS shells
-    from the sample farthest out. Shell boundaries falling between
-    samples are filled in by interpolating log_v linearly (exact for
-    exponentials and powers).
+    Shells are measured in |x|; they are odeint.shell_edges from the
+    sample farthest out toward 0, whole shells down to the nearest
+    sample, so shell k spans one factor of two and increasing k
+    approaches 0, for at most _MAX_SHELLS shells. Shell boundaries
+    falling between samples are filled in by interpolating log_v
+    linearly (exact for exponentials and powers).
     """
     coord = np.abs(np.asarray(x, dtype=float))
     log_v = np.asarray(log_v, dtype=float)
     order = np.argsort(coord)
     coord = coord[order]
     vals = log_v[order]
-    c_lo = coord[0]
-    c_hi = coord[-1]
-    if c_lo <= 0.0 or c_hi <= 0.0:
+    if coord[0] <= 0.0:
         raise ValueError("samples must keep a positive distance from 0")
-    n_shells = min(_MAX_SHELLS, int(math.floor(math.log2(c_hi / c_lo) + 1e-9)))
-    if n_shells < 1:
+    edges = shell_edges(float(coord[-1]), 0.0, IntegratorConfig(x_min=float(coord[0])))[: _MAX_SHELLS + 1]
+    if len(edges) < 2:
         raise InsufficientTailError("samples span less than one dyadic shell")
     out: List[float] = []
-    for k in range(n_shells):
-        hi, lo = c_hi * 2.0**-k, c_hi * 2.0 ** -(k + 1)
+    for hi, lo in zip(edges, edges[1:]):
         xs, ls = _clip_samples(coord, vals, lo, hi)
         out.append(log_trapezoid(ls, xs))
     return out
