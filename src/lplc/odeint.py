@@ -474,56 +474,43 @@ def wronskian_values(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
     return mantissa * np.exp(np.add(t1.log_scale, t2.log_scale))
 
 
-def _as_curve(obj) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract (x, values, first, second derivatives) from a trace or sample."""
+def _sampled(curve):
+    """curve as a SampledFunction on increasing x; a trace's y'' comes from the equation itself."""
+    if not isinstance(curve, SolutionTrace):
+        return curve
     import numpy as np
 
-    if isinstance(obj, SolutionTrace):
-        vals = obj.values()
-        qx = np.asarray([evaluate(obj.potential, float(t)) for t in obj.x])
-        d2 = (qx - obj.eigenvalue) * vals  # second derivative from the equation itself
-        return np.asarray(obj.x, dtype=float), vals, obj.derivative_values(), d2
-    grid = np.asarray(obj.grid, dtype=float)
-    vals = np.asarray(obj.values)
-    dvals = getattr(obj, "derivative_values", None)
-    d2 = getattr(obj, "second_derivative_values", None)
-    if dvals is None or d2 is None:
-        raise MissingDerivativeError(
-            "sampled input needs derivative_values and second_derivative_values"
-        )
-    return grid, vals, np.asarray(dvals), np.asarray(d2)
+    from .sobolev import SampledFunction
+
+    vals = curve.values()
+    qx = np.asarray([evaluate(curve.potential, float(t)) for t in curve.x])
+    order = slice(None) if curve.direction > 0 else slice(None, None, -1)
+    columns = (curve.x, vals, curve.derivative_values(), (qx - curve.eigenvalue) * vals)
+    return SampledFunction(*(np.asarray(column)[order] for column in columns))
 
 
 def green_identity_residual(phi, psi, c: float, d: float) -> float:
-    """Defect of the integrated-by-parts Wronskian identity on [c, d].
+    """Defect of Green's identity on [c, d], the fundamental theorem for the current.
 
-    Computes | W(d; conj(phi), psi) - W(c; conj(phi), psi)
-    - integral of (conj(phi) psi'' - conj(phi)'' psi) | with the integral
-    taken by trapezoid quadrature on the shared grid. Second derivatives
-    of traces are reconstructed through the differential equation rather
-    than finite differences.
+    The current W = conj(phi) psi' - conj(phi)' psi has the derivative
+    conj(phi) psi'' - conj(phi)'' psi, so the defect is
+    sobolev.check_fundamental_theorem of W on the shared grid. phi and psi
+    are SolutionTraces, whose y'' comes from the differential equation
+    rather than finite differences, or SampledFunctions with both derivatives.
     """
     import numpy as np
 
-    from .quadrature import trapezoid
+    from .sobolev import SampledFunction, check_fundamental_theorem
 
-    x1, v1, dv1, d21 = _as_curve(phi)
-    x2, v2, dv2, d22 = _as_curve(psi)
-    order = slice(None, None, 1) if x1[0] < x1[-1] else slice(None, None, -1)
-    x1, v1, dv1, d21 = x1[order], v1[order], dv1[order], d21[order]
-    order2 = slice(None, None, 1) if x2[0] < x2[-1] else slice(None, None, -1)
-    x2, v2, dv2, d22 = x2[order2], v2[order2], dv2[order2], d22[order2]
-    if not np.array_equal(x1, x2):
+    phi, psi = _sampled(phi), _sampled(psi)
+    if not np.array_equal(phi.grid, psi.grid):
         raise GridMismatchError("inputs are on different grids")
-    lo, hi = (c, d) if c < d else (d, c)
-    tol = 4.0 * _EPS * max(1.0, abs(lo), abs(hi))
-    i = np.nonzero(np.abs(x1 - lo) <= tol)[0]
-    j = np.nonzero(np.abs(x1 - hi) <= tol)[0]
-    if i.size == 0 or j.size == 0:
-        raise GridMismatchError("c and d must be grid points")
-    i, j = int(i[0]), int(j[0])
-    sl = slice(i, j + 1)
-    w = np.conj(v1) * dv2 - np.conj(dv1) * v2
-    integrand = np.conj(v1[sl]) * d22[sl] - np.conj(d21[sl]) * v2[sl]
-    integral = trapezoid(integrand, x1[sl])
-    return float(abs((w[j] - w[i]) - integral))
+    if any(f.derivative_values is None or f.second_derivative_values is None for f in (phi, psi)):
+        raise MissingDerivativeError("sampled input needs derivative_values and second_derivative_values")
+    conj_phi = np.conj(phi.values)
+    current = SampledFunction(
+        phi.grid,
+        conj_phi * psi.derivative_values - np.conj(phi.derivative_values) * psi.values,
+        conj_phi * psi.second_derivative_values - np.conj(phi.second_derivative_values) * psi.values,
+    )
+    return check_fundamental_theorem(current, c, d)

@@ -7,6 +7,7 @@ import pytest
 from lplc.errors import (
     GridMismatchError,
     MaxStepsExceededError,
+    OutOfRangeError,
     StepUnderflowError,
 )
 from lplc.odeint import (
@@ -348,6 +349,29 @@ class TestGreenIdentity:
         g = SampledFunction(other, other, np.ones_like(other), np.zeros_like(other))
         with pytest.raises(GridMismatchError):
             green_identity_residual(f, g, 0.0, 1.0)
+
+
+    def test_pair_marched_toward_left_target(self):
+        # the traces run with decreasing x; the bound is acceptance C6's
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            q = random_polynomial(rng)
+            t1, t2 = fundamental_pair(q, 1j, 1.0, 0.5, CFG)
+            assert t1.x[0] > t1.x[-1]
+            h_max = float(np.max(np.abs(np.diff(t1.x))))
+            magnitude = 2.0 * float(np.max(np.abs(t1.values() * t2.values())))
+            assert green_identity_residual(t1, t2, 0.5, 1.0) < 10.0 * h_max * h_max * 0.5 * max(1.0, magnitude)
+
+    def test_off_grid_endpoint_rejected(self):
+        t1, t2 = fundamental_pair(Coulomb(1.0), 1j, 0.5, 1.5, CFG)
+        off_grid = 0.5 * (t1.x[1] + t1.x[2])
+        with pytest.raises(OutOfRangeError, match="not a grid point"):
+            green_identity_residual(t1, t2, off_grid, 1.5)
+
+    def test_three_point_trace_rejected(self):
+        t = integrate_grid(Zero(), 1j, [0.0, 0.5, 1.0], ComplexState(1.0, 0.0), CFG)
+        with pytest.raises(ValueError, match="at least 4 points"):
+            green_identity_residual(t, t, 0.0, 1.0)
 
 
 class TestTraceUtilities:
