@@ -81,6 +81,7 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is rescaled
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class ComplexState:
     """Mantissa pair (y, y') and its logarithmic scale.
 
     The true solution values are exp(log_scale) * (y, dy). After every
-    rescale the mantissa satisfies |y| + |dy| in [1/band, band].
+    rescale the mantissa satisfies |y| + |dy| in [1/_RESCALE_BAND, _RESCALE_BAND].
     """
 
     y: complex
@@ -103,7 +104,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    rescale_band: float = 100.0
     x_min: float = 1e-8
     x_max: float = 1e4
 
@@ -116,8 +116,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1000:
             raise ValueError("max_steps must be at least 1000")
-        if not self.rescale_band > 1.0:
-            raise ValueError("rescale_band must exceed 1")
         if not (self.x_min > 0.0 and self.x_max > 0.0):
             raise ValueError("x_min and x_max must be positive")
 
@@ -158,13 +156,13 @@ class SolutionTrace:
         return np.asarray(self.dy) * np.exp(self.log_scale)
 
 
-def _normalized(y: complex, dy: complex, log_scale: float, band: float) -> Tuple[complex, complex, float]:
+def _normalized(y: complex, dy: complex, log_scale: float) -> Tuple[complex, complex, float]:
     s = abs(y) + abs(dy)
     if s == 0.0:
         raise ValueError("zero state is not a valid solution seed")
     if not math.isfinite(s):
         raise NonFiniteError("state is not finite")
-    if s > band or s < 1.0 / band:
+    if s > _RESCALE_BAND or s < 1.0 / _RESCALE_BAND:
         return y / s, dy / s, log_scale + math.log(s)
     return y, dy, log_scale
 
@@ -198,7 +196,7 @@ class _Stepper:
         cfg = self.cfg
         q, l = self.q, self.l
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-        band, inv_band = cfg.rescale_band, 1.0 / cfg.rescale_band
+        band, inv_band = _RESCALE_BAND, 1.0 / _RESCALE_BAND
         sign = 1.0 if x1 > x0 else -1.0
         span = abs(x1 - x0)
         if span <= 64.0 * _EPS * max(abs(x0), abs(x1)):
@@ -397,7 +395,7 @@ def integrate_grid(
     if not (all(x0 < x1 for x0, x1 in pairs) or all(x0 > x1 for x0, x1 in pairs)):
         raise ValueError("grid must be strictly monotone")
     l = complex(l)
-    state = _normalized(complex(init.y), complex(init.dy), float(init.log_scale), cfg.rescale_band)
+    state = _normalized(complex(init.y), complex(init.dy), float(init.log_scale))
     rows = [state]
     integrals = []
     stepper = _stepper or _Stepper(q, l, cfg)

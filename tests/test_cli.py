@@ -183,8 +183,9 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("lplc: error:") and "strictly inside" in err
 
-    def test_geometric_ratio_is_not_a_config_key(self, capsys, tmp_path):
-        path = write_spec(tmp_path, dict(FREE_HALF_LINE, config={"geometric_ratio": 0.5}))
+    @pytest.mark.parametrize("key, value", [("geometric_ratio", 0.5), ("rescale_band", 100.0)])
+    def test_retired_knob_is_not_a_config_key(self, capsys, tmp_path, key, value):
+        path = write_spec(tmp_path, dict(FREE_HALF_LINE, config={key: value}))
         code, out, err = run(capsys, ["classify", "--input", path])
         assert code == 1
         assert out == ""
@@ -288,7 +289,6 @@ class TestClassifyCommand:
             "rel_tol",
             "abs_tol",
             "max_steps",
-            "rescale_band",
             "x_min",
             "x_max",
             "margin",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lplc import odeint
 from lplc.errors import (
     GridMismatchError,
     MaxStepsExceededError,
@@ -82,7 +83,7 @@ class TestIntegrate:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_steps", "rescale_band", "x_min", "x_max"])
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_steps", "x_min", "x_max"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -257,24 +258,25 @@ class TestInvariants:
         scale = np.max(np.abs(combined))
         assert np.max(np.abs(t3.values() - combined)) < 10 * CFG.rel_tol * scale
 
-    def test_rescale_transparency(self):
-        cfg_tight = IntegratorConfig(rescale_band=10.0, x_max=12.0)
-        cfg_loose = IntegratorConfig(rescale_band=1e12, x_max=12.0)
-        grid = build_grid(Zero(), 1.0, math.inf, cfg_tight)
-        t_tight = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg_tight)
-        t_loose = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg_loose)
+    def test_rescale_transparency(self, monkeypatch):
+        cfg = IntegratorConfig(x_max=12.0)
+        grid = build_grid(Zero(), 1.0, math.inf, cfg)
+        monkeypatch.setattr(odeint, "_RESCALE_BAND", 10.0)
+        t_tight = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg)
+        monkeypatch.setattr(odeint, "_RESCALE_BAND", 1e12)
+        t_loose = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg)
         assert np.max(np.abs(t_tight.log_scale)) > 0.0  # rescaling actually fired
         assert np.all(np.asarray(t_loose.log_scale) == 0.0)
         v1, v2 = t_tight.values(), t_loose.values()
         rel = np.abs(v1 - v2) / np.maximum(np.abs(v2), 1e-300)
-        assert np.max(rel) < 10 * cfg_tight.rel_tol
+        assert np.max(rel) < 10 * cfg.rel_tol
 
     def test_band_invariant_after_rescale(self):
         cfg = IntegratorConfig(x_max=50.0)
         t = integrate_grid(Zero(), 1j, build_grid(Zero(), 1.0, math.inf, cfg), ComplexState(1.0, 0.5), cfg)
         magnitude = np.abs(t.y) + np.abs(t.dy)
-        assert np.all(magnitude <= cfg.rescale_band * (1 + 1e-12))
-        assert np.all(magnitude >= 1.0 / cfg.rescale_band * (1 - 1e-12))
+        assert np.all(magnitude <= odeint._RESCALE_BAND * (1 + 1e-12))
+        assert np.all(magnitude >= 1.0 / odeint._RESCALE_BAND * (1 - 1e-12))
 
     def test_conjugation_symmetry(self):
         q = Coulomb(1.0)
@@ -349,7 +351,6 @@ class TestGreenIdentity:
         g = SampledFunction(other, other, np.ones_like(other), np.zeros_like(other))
         with pytest.raises(GridMismatchError):
             green_identity_residual(f, g, 0.0, 1.0)
-
 
     def test_pair_marched_toward_left_target(self):
         # the traces run with decreasing x; the bound is acceptance C6's

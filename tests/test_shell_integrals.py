@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from lplc import odeint
 from lplc.classify import classify_interval
 from lplc.odeint import (
     ComplexState,
@@ -101,12 +102,12 @@ def test_integrate_grid_intervals_match_closed_form():
         (Coulomb(-1.0), 2j, 1.0, math.inf, 10),
     ],
 )
-def test_integrals_do_not_depend_on_rescale_band(q, l, x0, target, n_shells):
+def test_integrals_do_not_depend_on_rescale_band(q, l, x0, target, n_shells, monkeypatch):
     logs = []
+    edges = shell_edges(x0, target, CFG)[: n_shells + 1]
     for band in (2.0, 100.0):
-        cfg = IntegratorConfig(rescale_band=band)
-        edges = shell_edges(x0, target, cfg)[: n_shells + 1]
-        logs.append(np.array([integrate_grid(q, l, edges, seed, cfg).log_square_integrals for seed in PAIR]))
+        monkeypatch.setattr(odeint, "_RESCALE_BAND", band)
+        logs.append(np.array([integrate_grid(q, l, edges, seed, CFG).log_square_integrals for seed in PAIR]))
     assert np.all(np.isfinite(logs[0]))
     assert np.max(np.abs(logs[0] - logs[1])) < 1e-9
 
