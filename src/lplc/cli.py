@@ -341,22 +341,22 @@ def cmd_effective_potential(args) -> int:
     grid = _parse_sweep(args.grid)
     if not all(0.0 < x < math.inf for x in grid):
         raise ValueError("grid abscissas must be positive and finite")
-    out = sys.stdout
-    # the header lines end in \r\n, like the csv rows below
-    out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\r\n")
     try:
         origin = _classify.classify_asymptotic(problem)
     except AsymptoticsUnavailableError:
-        out.write("# origin_lp_condition=unknown (no exact origin coefficient)\r\n")
+        condition = "unknown (no exact origin coefficient)"
     else:
         status = "holds" if origin.verdict is _classify.EndpointVerdict.LIMIT_POINT else "fails"
-        out.write(f"# origin_lp_condition={status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)\r\n")
+        condition = f"{status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)"
+    # every row is evaluated before anything is written, so a row that fails leaves stdout empty
+    rows = [[repr(x), repr(_pot.evaluate(potential, x)), repr(_pot.evaluate(problem.q_eff, x))] for x in grid]
+    out = sys.stdout
+    # the header lines end in \r\n, like the csv rows below
+    out.write(f"# n={args.n} l={args.l} rho={problem.rho!r} lambda={lam!r} L={big_l!r}\r\n")
+    out.write(f"# origin_lp_condition={condition}\r\n")
     writer = csv.writer(out)
     writer.writerow(["x", "v", "v_eff"])
-    for x in grid:
-        writer.writerow(
-            [repr(x), repr(_pot.evaluate(potential, x)), repr(_pot.evaluate(problem.q_eff, x))]
-        )
+    writer.writerows(rows)
     return EXIT_OK
 
 

@@ -424,22 +424,24 @@ class TestEffectivePotentialCommand:
         assert any("lambda=0.5" in l and "L=3.0" in l for l in header)
 
     def test_evaluation_error_exit_one(self, capsys):
-        code, _, err = run(
-            capsys,
-            [
-                "effective-potential",
-                "--n",
-                "3",
-                "--l",
-                "0",
-                "--potential",
-                '{"type": "tabulated", "x": [1, 2, 3, 4], "q": [0, 0, 0, 0]}',
-                "--grid",
-                "0.5:2:4",
-            ],
-        )
-        assert code == 1
-        assert "range" in err.lower()
+        # the first row fails, then only the last: either way no partial table is written
+        for grid in ("0.5:2:4", "1:5:5"):
+            code, out, err = run(
+                capsys,
+                [
+                    "effective-potential",
+                    "--n",
+                    "3",
+                    "--l",
+                    "0",
+                    "--potential",
+                    '{"type": "tabulated", "x": [1, 2, 3, 4], "q": [0, 0, 0, 0]}',
+                    "--grid",
+                    grid,
+                ],
+            )
+            assert (code, out) == (1, "")
+            assert "range" in err.lower()
 
 
     @pytest.mark.parametrize(
