@@ -183,7 +183,9 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("lplc: error:") and "strictly inside" in err
 
-    @pytest.mark.parametrize("key, value", [("geometric_ratio", 0.5), ("rescale_band", 100.0)])
+    @pytest.mark.parametrize(
+        "key, value", [("geometric_ratio", 0.5), ("rescale_band", 100.0)], ids=["geometric_ratio", "rescale_band"]
+    )
     def test_retired_knob_is_not_a_config_key(self, capsys, tmp_path, key, value):
         path = write_spec(tmp_path, dict(FREE_HALF_LINE, config={key: value}))
         code, out, err = run(capsys, ["classify", "--input", path])
