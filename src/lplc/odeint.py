@@ -488,13 +488,12 @@ def _sampled(curve):
 
 
 def green_identity_residual(phi, psi, c: float, d: float) -> float:
-    """Defect of Green's identity on [c, d], the fundamental theorem for the current.
+    """Defect of Green's identity on [c, d], with c and d points of the shared grid.
 
-    The current W = conj(phi) psi' - conj(phi)' psi has the derivative
-    conj(phi) psi'' - conj(phi)'' psi, so the defect is
-    sobolev.check_fundamental_theorem of W on the shared grid. phi and psi
-    are SolutionTraces, whose y'' comes from the differential equation
-    rather than finite differences, or SampledFunctions with both derivatives.
+    Green's identity is the fundamental theorem for the current
+    W = conj(phi) psi' - conj(phi)' psi, so the defect is
+    sobolev.check_fundamental_theorem of W. A SolutionTrace takes y'' from
+    the differential equation; a SampledFunction must carry both derivatives.
     """
     import numpy as np
 

@@ -2,11 +2,11 @@
 
 Three executable identities back the rest of the package: the
 fundamental theorem of calculus (integral of f' recovers the boundary
-difference), the integration-by-parts identity against compactly
-supported C^1 bumps (which is what having a weak derivative means), and
-dyadic-shell convergence of the integrals of |f|, |f'|, |f''| toward 0
-(membership in the spaces of functions with one or two integrable
-derivatives).
+difference; odeint checks Green's identity through it), the
+integration-by-parts identity against compactly supported C^1 bumps
+(which is what having a weak derivative means), and dyadic-shell
+convergence of the integrals of |f|, |f'|, |f''| toward 0 (membership
+in the spaces of functions with one or two integrable derivatives).
 
 Every identity tested here is exact in the continuum, so residuals are
 pure quadrature error: composite trapezoid on the supplied grid, with

@@ -8,6 +8,7 @@ from lplc import odeint
 from lplc.errors import (
     GridMismatchError,
     MaxStepsExceededError,
+    MissingDerivativeError,
     OutOfRangeError,
     StepUnderflowError,
 )
@@ -368,6 +369,12 @@ class TestGreenIdentity:
         off_grid = 0.5 * (t1.x[1] + t1.x[2])
         with pytest.raises(OutOfRangeError, match="not a grid point"):
             green_identity_residual(t1, t2, off_grid, 1.5)
+
+    def test_sampled_input_without_second_derivative_rejected(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        f = SampledFunction(grid, grid, np.ones_like(grid))
+        with pytest.raises(MissingDerivativeError):
+            green_identity_residual(f, f, 0.0, 1.0)
 
     def test_three_point_trace_rejected(self):
         t = integrate_grid(Zero(), 1j, [0.0, 0.5, 1.0], ComplexState(1.0, 0.0), CFG)
