@@ -312,16 +312,22 @@ def cmd_regularity_demo(args) -> int:
         raise ValueError("the f sequence needs a > 1")
     if which == "g" and not a > 0.0:
         raise ValueError("the g sequence needs a > 0")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "value_at_0", "derivative_at_0", "l2_distance_to_limit"])
+    # every row is computed before anything is written, so a row that fails leaves stdout empty
+    rows = []
     for n in range(1, n_max + 1):
         if which == "f":
             v0, d0 = _ext.sequence_f_boundary(n)
             dist = _ext.sequence_f_l2_distance(n)
         else:
             v0, d0 = _ext.sequence_g_boundary(n)
-            dist = _ext.sequence_g_l2_distance(n, a)
-        writer.writerow([n, repr(v0), repr(d0), repr(dist)])
+            try:
+                dist = _ext.sequence_g_l2_distance(n, a)
+            except OverflowError:
+                raise ValueError(f"the l2 distance of member {n} overflows a float at --a {a!r}") from None
+        rows.append([n, repr(v0), repr(d0), repr(dist)])
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["n", "value_at_0", "derivative_at_0", "l2_distance_to_limit"])
+    writer.writerows(rows)
     return EXIT_OK
 
 

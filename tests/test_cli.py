@@ -383,6 +383,14 @@ class TestRegularityDemoCommand:
         assert (code, out) == (1, "")
         assert "--a must be finite" in err
 
+    def test_overflowing_distance_is_an_error_without_a_partial_table(self, capsys):
+        # a**3 overflows above about 5.6e102; no header is left on stdout
+        code, out, err = run(capsys, ["regularity-demo", "--which", "g", "--a", "1e103", "--n-max", "3"])
+        assert (code, out) == (1, "")
+        assert err == "lplc: error: the l2 distance of member 1 overflows a float at --a 1e+103\n"
+        code, out, _ = run(capsys, ["regularity-demo", "--which", "g", "--a", "1e102", "--n-max", "3"])
+        assert code == 0 and len(out.splitlines()) == 4
+
 
 class TestEffectivePotentialCommand:
     def test_flat_s_wave(self, capsys):
