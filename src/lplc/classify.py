@@ -30,6 +30,15 @@ The verdicts of both endpoints compose into the deficiency indices
 (2, 2), (1, 1) or (0, 0), and the operator is essentially self-adjoint
 exactly when both endpoints are limit point.
 
+The mirror rule: when q is even, the reflection x -> -x maps solutions
+onto solutions, so -b is in the class of b. classify_interval marches
+once and reuses the left endpoint's verdict for the right one when three
+conditions hold: a == -b, the anchors mirror each other (anchor_left ==
+-anchor_right), and q.is_even(). The reuse is exact, not approximate:
+the march toward -b is then the mirror image of the one toward b, with
+every abscissa, step and derivative negated and every q value equal bit
+for bit, so both marches round alike and give the same shell integrals.
+
 All functions here are pure; endpoint classifications are independent
 and may run concurrently.
 """
@@ -408,6 +417,11 @@ def classify_interval(
     falls back to the numeric engine elsewhere. The anchors the numeric
     engine integrates from (default_anchor unless given) must lie
     strictly inside (a, b).
+
+    The left endpoint is classified first. By the mirror rule (see the
+    module docstring), its verdict is reused for the right endpoint,
+    which is then not marched, when a == -b, anchor_left == -anchor_right
+    and q.is_even().
     """
     if engine not in ("both", "asymptotic", "numeric"):
         raise ValueError("engine must be 'both', 'asymptotic' or 'numeric'")
@@ -435,4 +449,9 @@ def classify_interval(
             )
         return classify_numeric(q, ep, anchor, cfg, margin=margin, max_shells=max_shells)
 
-    return ClassificationReport(a=a, b=b, left=one(left_ep, anchor_left), right=one(right_ep, anchor_right))
+    left = one(left_ep, anchor_left)
+    if a == -b and anchor_left == -anchor_right and q.is_even():
+        right = left  # the mirror rule: the march toward b would repeat this one, mirrored
+    else:
+        right = one(right_ep, anchor_right)
+    return ClassificationReport(a=a, b=b, left=left, right=right)

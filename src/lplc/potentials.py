@@ -27,11 +27,20 @@ class Potential:
     """Base class for potential terms q(x).
 
     Subclasses implement ``_raw(x)`` (may raise arithmetic errors),
-    ``origin_coefficient`` and the canonical dict encoding.
+    ``origin_coefficient`` and the canonical dict encoding, and override
+    ``is_even`` when the formula is even bit for bit.
     """
 
     def _raw(self, x: float) -> float:
         raise NotImplementedError
+
+    def is_even(self) -> bool:
+        """True only when _raw(-x) == _raw(x) bit for bit at every x.
+
+        Negation is exact and rounding is symmetric in sign, so a formula
+        built from x only through x*x or an even integer power qualifies.
+        """
+        return False
 
     def origin_coefficient(self) -> Optional[float]:
         """Limit of x^2 q(x) as x -> 0+, or None when absent/divergent."""
@@ -51,6 +60,9 @@ class Zero(Potential):
     def _raw(self, x: float) -> float:
         return 0.0
 
+    def is_even(self) -> bool:
+        return True
+
     def origin_coefficient(self) -> Optional[float]:
         return 0.0
 
@@ -66,6 +78,9 @@ class InverseSquare(Potential):
 
     def _raw(self, x: float) -> float:
         return self.c / (x * x)
+
+    def is_even(self) -> bool:
+        return True
 
     def origin_coefficient(self) -> Optional[float]:
         return float(self.c)
@@ -100,6 +115,10 @@ class PowerLaw(Potential):
     def _raw(self, x: float) -> float:
         return self.c * math.pow(x, self.p)
 
+    def is_even(self) -> bool:
+        # pow(-x, p) is pow(x, p) exactly for an even integer p
+        return float(self.p).is_integer() and self.p % 2 == 0
+
     def origin_coefficient(self) -> Optional[float]:
         if self.c == 0.0 or self.p > -2.0:
             return 0.0
@@ -119,6 +138,9 @@ class Harmonic(Potential):
 
     def _raw(self, x: float) -> float:
         return self.k * x * x
+
+    def is_even(self) -> bool:
+        return True
 
     def origin_coefficient(self) -> Optional[float]:
         return 0.0
@@ -144,6 +166,9 @@ class Sum(Potential):
         for t in self.terms:
             total += t._raw(x)
         return total
+
+    def is_even(self) -> bool:
+        return all(t.is_even() for t in self.terms)
 
     def origin_coefficient(self) -> Optional[float]:
         total = 0.0
@@ -216,6 +241,9 @@ class Mirrored(Potential):
 
     def _raw(self, x: float) -> float:
         return self.base._raw(-x)
+
+    def is_even(self) -> bool:
+        return self.base.is_even()
 
     def origin_coefficient(self) -> Optional[float]:
         return None

@@ -25,6 +25,7 @@ from lplc.classify import (
     classify_asymptotic,
     classify_interval,
     classify_numeric,
+    default_anchor,
     fit_shell_exponent,
     joint_status,
 )
@@ -546,3 +547,74 @@ class TestClassifyInterval:
         assert report.indices == DeficiencyIndices(1, 1)
         mirror = classify_interval(Harmonic(1.0), 0.0, math.inf)
         assert report.left.tail.log_shell_integrals == mirror.right.tail.log_shell_integrals
+
+
+def tail_bits(cls):
+    return cls.verdict, [v.hex() for v in cls.tail.log_shell_integrals], cls.tail.fitted_exponent.hex()
+
+
+def count_marched_shells(monkeypatch):
+    """Count the shells classify marches, one integrate_grid call each."""
+    import lplc.classify
+
+    calls = []
+    march = lplc.classify.integrate_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(lplc.classify, "integrate_grid", counted)
+    return calls
+
+
+class TestMirrorRule:
+    # an even q on (-b, b), marched from mirrored anchors: the right end
+    # reuses the left end's verdict instead of marching again
+    SYMMETRIC = [
+        (Harmonic(1.0), -math.inf, math.inf),
+        (Zero(), -math.inf, math.inf),
+        (Harmonic(1.0), -2.0, 2.0),
+        (Harmonic(1.0), -0.1, 0.1),
+        (PowerLaw(-0.3, 4.0), -1.5, 1.5),
+        (Sum([Harmonic(1.0), PowerLaw(-0.3, 4.0)]), -0.1, 0.1),
+    ]
+    SYMMETRIC_IDS = ["harmonic-line", "zero-line", "harmonic-2", "harmonic-0.1", "quartic-1.5", "sum-0.1"]
+
+    @pytest.mark.parametrize("q, a, b", SYMMETRIC, ids=SYMMETRIC_IDS)
+    def test_even_potential_on_a_symmetric_interval_is_marched_once(self, q, a, b, monkeypatch):
+        calls = count_marched_shells(monkeypatch)
+        report = classify_interval(q, a, b)
+        assert len(calls) == len(report.left.tail.log_shell_integrals)
+        assert all(x <= 0.0 for grid in calls for x in grid)  # the left end only
+
+    @pytest.mark.parametrize("q, a, b", SYMMETRIC, ids=SYMMETRIC_IDS)
+    def test_each_end_equals_its_own_march(self, q, a, b):
+        report = classify_interval(q, a, b)
+        anchor_left, anchor_right = default_anchor(a, b)
+        left = classify_numeric(q, Endpoint(a, "left"), anchor_left, CFG)
+        right = classify_numeric(q, Endpoint(b, "right"), anchor_right, CFG)
+        assert tail_bits(report.left) == tail_bits(left)
+        assert tail_bits(report.right) == tail_bits(right)
+
+    @pytest.mark.parametrize(
+        "q, a, b, anchors",
+        [
+            (Coulomb(1.0), -math.inf, math.inf, None),  # odd
+            (Tabulated([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 0.0, 1.0, 4.0]), -2.0, 2.0, None),
+            (Sum([Harmonic(1.0), Coulomb(1.0)]), -math.inf, math.inf, None),
+            (Harmonic(1.0), -math.inf, math.inf, (-1.0, 2.0)),  # anchors not mirrored
+            (Harmonic(1.0), -1.0, 2.0, None),  # interval not symmetric
+        ],
+        ids=["coulomb", "symmetric-table", "sum-with-odd-term", "unmirrored-anchors", "asymmetric-interval"],
+    )
+    def test_both_ends_marched_otherwise(self, q, a, b, anchors, monkeypatch):
+        calls = count_marched_shells(monkeypatch)
+        report = classify_interval(q, a, b, anchors=anchors)
+        shells = len(report.left.tail.log_shell_integrals) + len(report.right.tail.log_shell_integrals)
+        assert len(calls) == shells
+
+    def test_step_budget_error_still_names_a_negative_x(self):
+        # the left end is marched first, so its error is the one raised
+        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x=-\d"):
+            classify_interval(Harmonic(1.0), -math.inf, math.inf, cfg=IntegratorConfig(max_steps=1000))

@@ -167,6 +167,46 @@ class TestOriginCoefficient:
         assert q.origin_coefficient() is None
 
 
+SYMMETRIC_TABLE = Tabulated([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 0.0, 1.0, 4.0])
+
+
+class TestParity:
+    # is_even() is a promise that q(-x) == q(x) bit for bit, which the
+    # mirror rule of classify_interval relies on
+    EVEN = [
+        Zero(),
+        InverseSquare(0.75),
+        Harmonic(1.0),
+        Harmonic(-0.3),
+        *(PowerLaw(-0.3, p) for p in (-4.0, -2.0, 0.0, 2.0, 4.0)),
+        PowerLaw(2.5, 2),
+        Sum([Harmonic(1.0), InverseSquare(2.0), PowerLaw(-0.3, 4.0)]),
+        Mirrored(Harmonic(1.0)),
+    ]
+    NOT_EVEN = [
+        Coulomb(-1.0),
+        *(PowerLaw(1.0, p) for p in (1.0, 1.5, 3.0)),
+        Sum([Harmonic(1.0), Coulomb(1.0)]),
+        Mirrored(Coulomb(1.0)),
+        Tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]),
+        SYMMETRIC_TABLE,
+    ]
+
+    @pytest.mark.parametrize("q", EVEN, ids=lambda q: q.dumps())
+    def test_even_potential_is_even_bit_for_bit(self, q):
+        assert q.is_even()
+        for x in np.geomspace(1e-6, 1e4, 2001).tolist():
+            assert evaluate(q, -x).hex() == evaluate(q, x).hex(), x
+
+    @pytest.mark.parametrize("q", NOT_EVEN, ids=lambda q: q.dumps())
+    def test_other_potentials_are_not_even(self, q):
+        assert not q.is_even()
+
+    def test_symmetric_table_interpolates_differently_at_minus_x(self):
+        # why a table is never even: the two segments round apart
+        assert evaluate(SYMMETRIC_TABLE, -1.3) != evaluate(SYMMETRIC_TABLE, 1.3)
+
+
 class TestEffectivePotential:
     def test_zero_l0_is_flat(self):
         ep = effective_potential(Zero(), 3, 0)
