@@ -215,10 +215,8 @@ def fit_shell_exponent(log_integrals: Sequence[float]) -> float:
     if len(log_integrals) < 2:
         raise InsufficientTailError("need at least two shells to fit")
     tail = log_integrals[-DEFAULT_FIT_WINDOW:]
-    if all(v <= _ZERO_FLOOR for v in tail):
-        return -math.inf
     if any(math.isinf(v) for v in tail):
-        # a vanishing shell among finite ones: treat as super-geometric decay
+        # a vanishing shell is super-geometric decay; tiny finite ones are fitted
         return -math.inf if tail[-1] <= _ZERO_FLOOR else math.inf
     weights = [2 * k - (len(tail) - 1) for k in range(len(tail))]
     total = math.fsum(y if w > 0 else -y for y, w in zip(tail, weights) for _ in range(abs(w)))
@@ -284,7 +282,8 @@ def _decisively_divergent(logs: Sequence[float]) -> bool:
         return False
     d1 = logs[-1] - logs[-2]
     d2 = logs[-2] - logs[-3]
-    return d1 > _DECISIVE_LOG_RATIO and d2 > _DECISIVE_LOG_RATIO
+    # growth that shrinks shell by shell, as toward a regular end, is not decisive
+    return d2 > _DECISIVE_LOG_RATIO and d1 >= d2
 
 
 def classify_numeric(
@@ -377,23 +376,21 @@ class ClassificationReport:
 def default_anchor(a: float, b: float) -> Tuple[float, float]:
     """Anchor points for the left and right endpoint analyses.
 
-    Midpoint for a finite interval, one unit inside a finite endpoint
-    otherwise, and +-1 on a fully infinite line.
+    A finite end is marched from one unit inside it, an infinite end from
+    +-1 or from one unit inside the other end, whichever lies farther
+    out, so each verdict reads q near its own end only. An interval no
+    longer than 2 is marched from its midpoint.
     """
     if a >= b:
         raise ValueError("interval must satisfy a < b")
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if not a_inf and not b_inf:
+    if b - a <= 2.0:
         mid = 0.5 * (a + b)
         return mid, mid
-    if a_inf and b_inf:
-        return -1.0, 1.0
-    if a_inf:
-        anchor = min(b - 1.0, -1.0)
-        return anchor, b - 1.0
-    anchor_left = a + 1.0
-    anchor_right = max(a + 1.0, 1.0)
+    anchor_left = a + 1.0 if math.isfinite(a) else min(b - 1.0, -1.0)
+    anchor_right = b - 1.0 if math.isfinite(b) else max(anchor_left, 1.0)
+    for side, end, anchor in (("left", a, anchor_left), ("right", b, anchor_right)):
+        if anchor == end:
+            raise ValueError(f"one unit inside the {side} endpoint {end!r} rounds back onto it")
     return anchor_left, anchor_right
 
 

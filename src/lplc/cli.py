@@ -183,7 +183,7 @@ def cmd_classify(args) -> int:
     }
     anchors = None
     if given:
-        defaults = _classify.default_anchor(a, b)
+        defaults = (None, None) if len(given) == 2 else _classify.default_anchor(a, b)
         anchors = (given.get("anchor_left", defaults[0]), given.get("anchor_right", defaults[1]))
     subject = potential
     nl = None

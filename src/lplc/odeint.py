@@ -316,6 +316,12 @@ def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
     return 0.1 * span
 
 
+def _whole_shells(outer: float, inner: float) -> int:
+    """floor(log2(outer / inner)), at least 0, also where the quotient leaves float range."""
+    ratio = outer / inner
+    return max(0, math.floor(math.log2(ratio) if 0.0 < ratio < math.inf else math.log2(outer) - math.log2(inner)))
+
+
 def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[float]:
     """Exact edges of the whole dyadic shells from x_start toward x_end.
 
@@ -336,11 +342,11 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
             raise ValueError(f"x_start={x_start!r} must lie on the side of 0 toward {x_end!r}")
         if base >= cfg.x_max:
             raise InsufficientTailError(f"x_start={x_start!r} lies beyond the truncation radius")
-        n = max(0, math.floor(math.log2(cfg.x_max / base)))
+        n = _whole_shells(cfg.x_max, base)
         return [sign * math.ldexp(base, k) for k in range(n + 1)]
     direction = 1.0 if x_end > x_start else -1.0
     distance = abs(x_end - x_start)
-    n = max(0, math.floor(math.log2(distance / cfg.x_min)))
+    n = _whole_shells(distance, cfg.x_min)
     return [x_start] + [x_end - direction * math.ldexp(distance, -k) for k in range(1, n + 1)]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -167,6 +168,10 @@ class TestFitShellExponent:
     )
     def test_infinite_logs(self, logs, slope):
         assert fit_shell_exponent(logs) == slope
+
+    def test_tiny_finite_logs_are_fitted(self):
+        # short shells near a tiny anchor: the logs grow, so the fit must not read decay
+        assert fit_shell_exponent([-736.0 + 0.5 * k for k in range(DEFAULT_FIT_WINDOW)]) == 0.5
 
     def test_nan_log_gives_nan(self):
         assert math.isnan(fit_shell_exponent([0.0, math.nan, 1.0, 2.0]))
@@ -618,3 +623,125 @@ class TestMirrorRule:
         # the left end is marched first, so its error is the one raised
         with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x=-\d"):
             classify_interval(Harmonic(1.0), -math.inf, math.inf, cfg=IntegratorConfig(max_steps=1000))
+
+
+class TestAnchorRule:
+    # each finite end is marched from one unit inside it, each infinite end
+    # from +-1 or from one unit inside the other end, whichever lies farther
+    # out, and an interval no longer than 2 from its midpoint
+    @pytest.mark.parametrize(
+        "a, b, anchors",
+        [
+            (0.0, 1.0, (0.5, 0.5)),
+            (0.0, 2.0, (1.0, 1.0)),
+            (0.2, 1.9, (1.05, 1.05)),  # 0.5 * (a + b); b - 0.5 * (b - a) rounds to 1.0499999999999998
+            (1.0, 2.5, (1.75, 1.75)),
+            (0.0, math.inf, (1.0, 1.0)),
+            (3.0, math.inf, (4.0, 4.0)),
+            (-5.0, math.inf, (-4.0, 1.0)),
+            (-math.inf, math.inf, (-1.0, 1.0)),
+            (-math.inf, -1.0, (-2.0, -2.0)),
+            (-math.inf, 5.0, (-1.0, 4.0)),
+        ],
+    )
+    def test_short_and_infinite_intervals_keep_their_anchors(self, a, b, anchors):
+        assert [x.hex() for x in default_anchor(a, b)] == [x.hex() for x in anchors]
+
+    @pytest.mark.parametrize(
+        "a, b, anchors",
+        [(0.0, 1000.0, (1.0, 999.0)), (-10.0, 10.0, (-9.0, 9.0)), (1.0, 3.5, (2.0, 2.5))],
+    )
+    def test_long_finite_interval_is_anchored_one_unit_inside_each_end(self, a, b, anchors):
+        assert default_anchor(a, b) == anchors
+
+    @pytest.mark.parametrize(
+        "a, b, side",
+        [(2.0**53, 2.0**53 + 8.0, "left"), (-math.inf, 2.0**60, "right"), (-(2.0**60), 0.0, "left")],
+    )
+    def test_anchor_rounding_onto_its_end_names_the_end(self, a, b, side):
+        end = a if side == "left" else b
+        with pytest.raises(ValueError, match=re.escape(f"one unit inside the {side} endpoint {end!r} rounds back onto it")):
+            default_anchor(a, b)
+
+    @pytest.mark.parametrize("q", [Zero(), InverseSquare(0.5), Coulomb(-1.0), Harmonic(1.0)], ids=lambda q: q.dumps())
+    @pytest.mark.parametrize("b", [40.0, 1000.0])
+    def test_each_end_is_marched_as_on_a_half_line(self, q, b):
+        # Weyl's alternative is local: neither verdict reads the far end
+        report = classify_interval(q, 0.0, b, engine="numeric")
+        left = classify_numeric(q, ORIGIN, 1.0, CFG)
+        right = classify_interval(q, -math.inf, b, engine="numeric").right
+        assert tail_bits(report.left) == tail_bits(left)
+        assert tail_bits(report.right) == tail_bits(right)
+
+    def test_left_end_equals_the_half_line_left_end(self):
+        long = classify_interval(Zero(), 0.0, 1000.0, engine="numeric")
+        half_line = classify_interval(Zero(), 0.0, math.inf, engine="numeric")
+        assert tail_bits(long.left) == tail_bits(half_line.left)
+
+    @pytest.mark.parametrize(
+        "q, a, b, engine, verdicts",
+        [
+            (Zero(), 0.0, 40.0, "numeric", (LC, LC)),
+            (Zero(), 0.0, 1000.0, "numeric", (LC, LC)),
+            (Zero(), 0.0, 1e6, "numeric", (LC, LC)),  # exhausted the step budget in about 11 s
+            (Zero(), 0.0, 1000.0, "both", (LC, LC)),
+            (InverseSquare(0.5), 0.0, 1000.0, "numeric", (LC, LC)),
+            (InverseSquare(2.0), 0.0, 1000.0, "numeric", (LP, LC)),
+            (Coulomb(-1.0), 0.0, 100.0, "numeric", (LC, LC)),
+            (Harmonic(1.0), -10.0, 10.0, "numeric", (LC, LC)),
+            (Harmonic(1.0), -20.0, 20.0, "numeric", (LC, LC)),
+            (Harmonic(1.0), 0.0, 10.0, "numeric", (LC, LC)),
+        ],
+    )
+    def test_regular_far_end_reads_limit_circle(self, q, a, b, engine, verdicts):
+        # a march from the midpoint of a long interval read the growth
+        # between the midpoint and the end, and called both ends LP
+        report = classify_interval(q, a, b, engine=engine)
+        assert (report.left.verdict, report.right.verdict) == verdicts
+
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [(Zero(), 0.0, 1000.0), (Harmonic(1.0), -20.0, 20.0), (Harmonic(1.0), 0.0, 10.0)],
+    )
+    def test_shrinking_growth_toward_a_regular_end_is_not_decisive(self, q, a, b):
+        # the log increments halve with each shell toward a regular end, so
+        # the march runs every shell instead of stopping as divergent
+        report = classify_interval(q, a, b, engine="numeric")
+        assert len(report.right.tail.log_shell_integrals) == 12
+
+    @pytest.mark.parametrize("q", [PowerLaw(1.0, -4.0), PowerLaw(1.0, -6.0), InverseSquare(8.75)], ids=lambda q: q.dumps())
+    def test_growth_that_does_not_shrink_still_stops_early(self, q):
+        cls = classify_numeric(q, ORIGIN, 1.0, CFG)
+        assert cls.verdict is LP
+        assert len(cls.tail.log_shell_integrals) == 4
+
+    def test_origin_without_a_coefficient_falls_back_to_the_march(self):
+        report = classify_interval(PowerLaw(1.0, -3.0), 0.0, 1.0, engine="both")
+        assert report.left.engine is Engine.NUMERIC and report.left.verdict is LP
+
+    def test_asymptotic_engine_needs_an_origin_coefficient(self):
+        with pytest.raises(AsymptoticsUnavailableError, match="no exact origin coefficient"):
+            classify_interval(PowerLaw(1.0, -3.0), 0.0, 1.0, engine="asymptotic")
+
+
+STIFF_NEAR_A_REGULAR_END = (
+    "stiff q near a regular end: sqrt|q| times the innermost shell width, 2^-12 of the"
+    " anchor distance, stays above about 1, so all 12 shells are still pre-asymptotic"
+)
+
+
+class TestStiffRegularEnd:
+    @pytest.mark.xfail(strict=True, reason=STIFF_NEAR_A_REGULAR_END + "; the right end reads LP with ratio 2.98")
+    def test_steep_harmonic_on_the_unit_interval(self):
+        report = classify_interval(Harmonic(1e6), 0.0, 1.0, engine="numeric")
+        assert report.right.verdict is LC
+
+    @pytest.mark.xfail(strict=True, reason=STIFF_NEAR_A_REGULAR_END + "; the right end reads LP with ratio 13.8")
+    def test_quadratic_power_law_on_a_long_interval(self):
+        report = classify_interval(PowerLaw(1.0, 2.0), 0.0, 1000.0, engine="numeric")
+        assert report.right.verdict is LC
+
+    @pytest.mark.xfail(strict=True, reason=STIFF_NEAR_A_REGULAR_END + "; both ends read LP")
+    def test_steep_harmonic_on_a_symmetric_interval(self):
+        report = classify_interval(Harmonic(1e6), -1.0, 1.0, engine="numeric")
+        assert (report.left.verdict, report.right.verdict) == (LC, LC)

@@ -184,6 +184,45 @@ class TestClassifyCommand:
         assert err.startswith("lplc: error:") and "strictly inside" in err
 
     @pytest.mark.parametrize(
+        "spec, verdicts",
+        [
+            (
+                {"interval": {"a": 0, "b": 1}, "potential": {"type": "zero"}, "engine": "numeric",
+                 "config": {"x_min": 1e-320}},
+                ["LC", "LC"],
+            ),
+            (
+                {"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "zero"},
+                 "config": {"anchor_left": -1e-320, "anchor_right": 1e-320}},
+                None,  # 12 shells from 1e-320 reach 2e-317, far short of infinity
+            ),
+        ],
+        ids=["tiny-x-min", "tiny-anchors"],
+    )
+    def test_shell_count_beyond_float_range_gives_a_report(self, capsys, tmp_path, spec, verdicts):
+        # the ratio of the shell limits overflows; it raised OverflowError
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert (code, err) == (0, "")
+        endpoints = json.loads(out)["endpoints"]
+        if verdicts is not None:
+            assert [e["verdict"] for e in endpoints] == verdicts
+
+    HUGE = {"interval": {"a": 2.0**53, "b": 2.0**53 + 8.0}, "potential": {"type": "zero"}, "engine": "numeric"}
+
+    def test_default_anchor_rounding_onto_its_end_is_named(self, capsys, tmp_path):
+        spec = dict(self.HUGE, config={"anchor_right": 2.0**53 + 6.0})  # the left anchor is the default
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert (code, out) == (1, "")
+        assert err == "lplc: error: one unit inside the left endpoint 9007199254740992.0 rounds back onto it\n"
+
+    def test_a_given_anchor_pair_needs_no_default(self, capsys, tmp_path):
+        spec = dict(self.HUGE, config={"anchor_left": 2.0**53 + 2.0, "anchor_right": 2.0**53 + 6.0})
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        # the march itself fails there, one float step from each end
+        assert (code, out) == (1, "")
+        assert err.startswith("lplc: error: recording interval") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "key, value", [("geometric_ratio", 0.5), ("rescale_band", 100.0)], ids=["geometric_ratio", "rescale_band"]
     )
     def test_retired_knob_is_not_a_config_key(self, capsys, tmp_path, key, value):

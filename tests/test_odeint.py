@@ -160,6 +160,26 @@ class TestGrids:
         assert grid[-1] == -CFG.x_max
         assert np.all(np.diff(grid) < 0)
 
+    @pytest.mark.parametrize(
+        "x_start, x_end, cfg",
+        [
+            (0.5, 0.0, IntegratorConfig(x_min=1e-320)),  # 0.5 / x_min overflows
+            (1e-320, math.inf, CFG),  # x_max / 1e-320 overflows
+            (-1e-320, -math.inf, CFG),
+            (1e-320, 0.0, IntegratorConfig(x_min=1e300)),  # 1e-320 / x_min underflows
+        ],
+    )
+    def test_whole_shells_counted_when_the_quotient_leaves_float_range(self, x_start, x_end, cfg):
+        edges = shell_edges(x_start, x_end, cfg)
+        n = len(edges) - 1
+        if math.isinf(x_end):
+            assert [abs(e) for e in edges] == [math.ldexp(abs(x_start), k) for k in range(n + 1)]
+            assert abs(edges[-1]) <= cfg.x_max < 2.0 * abs(edges[-1])
+        else:
+            distance = abs(x_end - x_start)
+            assert math.ldexp(distance, -n - 1) < cfg.x_min
+            assert n == 0 or math.ldexp(distance, -n) >= cfg.x_min
+
 
 class TestFundamentalPair:
     def test_anchor_wronskian_is_exactly_one(self):
