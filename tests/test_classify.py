@@ -673,17 +673,12 @@ class TestAnchorRule:
         assert tail_bits(report.left) == tail_bits(left)
         assert tail_bits(report.right) == tail_bits(right)
 
-    def test_left_end_equals_the_half_line_left_end(self):
-        long = classify_interval(Zero(), 0.0, 1000.0, engine="numeric")
-        half_line = classify_interval(Zero(), 0.0, math.inf, engine="numeric")
-        assert tail_bits(long.left) == tail_bits(half_line.left)
-
     @pytest.mark.parametrize(
         "q, a, b, engine, verdicts",
         [
             (Zero(), 0.0, 40.0, "numeric", (LC, LC)),
             (Zero(), 0.0, 1000.0, "numeric", (LC, LC)),
-            (Zero(), 0.0, 1e6, "numeric", (LC, LC)),  # exhausted the step budget in about 11 s
+            (Zero(), 0.0, 1e6, "numeric", (LC, LC)),
             (Zero(), 0.0, 1000.0, "both", (LC, LC)),
             (InverseSquare(0.5), 0.0, 1000.0, "numeric", (LC, LC)),
             (InverseSquare(2.0), 0.0, 1000.0, "numeric", (LP, LC)),
@@ -694,8 +689,7 @@ class TestAnchorRule:
         ],
     )
     def test_regular_far_end_reads_limit_circle(self, q, a, b, engine, verdicts):
-        # a march from the midpoint of a long interval read the growth
-        # between the midpoint and the end, and called both ends LP
+        # a regular end reads LC however far away the other end lies
         report = classify_interval(q, a, b, engine=engine)
         assert (report.left.verdict, report.right.verdict) == verdicts
 

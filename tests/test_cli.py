@@ -194,13 +194,13 @@ class TestClassifyCommand:
             (
                 {"interval": {"a": "-inf", "b": "inf"}, "potential": {"type": "zero"},
                  "config": {"anchor_left": -1e-320, "anchor_right": 1e-320}},
-                None,  # 12 shells from 1e-320 reach 2e-317, far short of infinity
+                None,  # no class is pinned: 12 shells from 1e-320 end at 2e-317, far short of infinity
             ),
         ],
         ids=["tiny-x-min", "tiny-anchors"],
     )
     def test_shell_count_beyond_float_range_gives_a_report(self, capsys, tmp_path, spec, verdicts):
-        # the ratio of the shell limits overflows; it raised OverflowError
+        # the quotient of the shell limits leaves float range
         code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
         assert (code, err) == (0, "")
         endpoints = json.loads(out)["endpoints"]

@@ -136,8 +136,8 @@ class TestW21Report:
         report = w21_report(f)
         assert report.in_w21 is True
 
-    def test_grid_reaching_below_float_range_of_its_span(self):
-        # 1 / 1e-310 overflows; the shell count must not
+    def test_span_whose_quotient_overflows(self):
+        # 1 / 1e-310 overflows a float; the shell count must not
         grid = np.geomspace(1e-310, 1.0, 400)
         f = SampledFunction(grid, grid**1.5, 1.5 * grid**0.5, 0.75 * grid**-0.5)
         assert w21_report(f).in_w21 is True
