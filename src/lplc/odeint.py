@@ -199,7 +199,7 @@ class _Stepper:
         band, inv_band = _RESCALE_BAND, 1.0 / _RESCALE_BAND
         sign = 1.0 if x1 > x0 else -1.0
         span = abs(x1 - x0)
-        if span <= 64.0 * _EPS * max(abs(x0), abs(x1)):
+        if _unresolvable(x0, x1):
             raise StepUnderflowError(
                 f"recording interval [{x0}, {x1}] is below float resolution"
             )
@@ -308,6 +308,11 @@ def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _unresolvable(x0: float, x1: float) -> bool:
+    """True when [x0, x1] is too narrow to march: at most 64 eps of its larger end."""
+    return abs(x1 - x0) <= 64.0 * _EPS * max(abs(x0), abs(x1))
+
+
 def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
     """First step guess: 1 % of the state's scale over its rate of change."""
     rate = abs(dy) + abs(p * y)
@@ -327,7 +332,11 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
 
     Toward a finite target at distance d, edge 0 is x_start itself and
     edge k >= 1 lies at distance d * 2^(-k) from the target, for the
-    whole shells that stay at least cfg.x_min away. Toward an infinite
+    whole shells that stay at least cfg.x_min away, and it stops before
+    the first shell too narrow to march, where d * 2^(-k) falls below the
+    float resolution at the target. When the first shell is already that
+    narrow the edges are left as they are, so the march of that shell
+    fails and names the interval. Toward an infinite
     target, x_start must lie on the target's side of 0, and the edges
     are x_start * 2^k for the whole shells inside cfg.x_max.
     """
@@ -347,7 +356,12 @@ def shell_edges(x_start: float, x_end: float, cfg: IntegratorConfig) -> List[flo
     direction = 1.0 if x_end > x_start else -1.0
     distance = abs(x_end - x_start)
     n = _whole_shells(distance, cfg.x_min)
-    return [x_start] + [x_end - direction * math.ldexp(distance, -k) for k in range(1, n + 1)]
+    edges = [x_start] + [x_end - direction * math.ldexp(distance, -k) for k in range(1, n + 1)]
+    if n and not _unresolvable(x_start, edges[1]):
+        for k in range(2, n + 1):
+            if _unresolvable(edges[k - 1], edges[k]):
+                return edges[:k]
+    return edges
 
 
 def build_grid(q: Potential, x_start: float, x_end: float, cfg: IntegratorConfig) -> np.ndarray:

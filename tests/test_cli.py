@@ -207,6 +207,18 @@ class TestClassifyCommand:
         if verdicts is not None:
             assert [e["verdict"] for e in endpoints] == verdicts
 
+    def test_shells_stop_at_the_float_resolution_of_a_regular_end(self, capsys, tmp_path):
+        # toward 1 the shells stop where d * 2^-k falls below the float resolution at 1
+        spec = {
+            "interval": {"a": 0.0, "b": 1.0},
+            "potential": {"type": "zero"},
+            "engine": "numeric",
+            "config": {"x_min": 1e-20, "max_shells": 60},
+        }
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert (code, err) == (0, "")
+        assert [e["verdict"] for e in json.loads(out)["endpoints"]] == ["LC", "LC"]
+
     HUGE = {"interval": {"a": 2.0**53, "b": 2.0**53 + 8.0}, "potential": {"type": "zero"}, "engine": "numeric"}
 
     def test_default_anchor_rounding_onto_its_end_is_named(self, capsys, tmp_path):

@@ -181,6 +181,23 @@ class TestGrids:
             assert n == 0 or math.ldexp(distance, -n) >= cfg.x_min
 
 
+    @pytest.mark.parametrize("x_start, x_end", [(0.5, 1.0), (1.5, 1.0), (-0.5, -1.0), (3.0, 1e6)])
+    def test_edges_stop_at_the_float_resolution(self, x_start, x_end):
+        # d * 2^-k would fall below an ulp of the end long before x_min
+        edges = shell_edges(x_start, x_end, IntegratorConfig(x_min=1e-20))
+        direction = 1.0 if x_end > x_start else -1.0
+        shells = list(zip(edges, edges[1:]))
+        assert all(direction * (x1 - x0) > 64.0 * odeint._EPS * max(abs(x0), abs(x1)) for x0, x1 in shells)
+        # the next edge would have been too close to its predecessor
+        nxt = x_end - direction * math.ldexp(abs(x_end - x_start), -len(edges))
+        assert abs(nxt - edges[-1]) <= 64.0 * odeint._EPS * max(abs(nxt), abs(edges[-1]))
+
+    def test_edges_toward_the_origin_reach_x_min(self):
+        # toward 0 every edge is exact, so the resolution never stops the shells
+        edges = shell_edges(0.5, 0.0, IntegratorConfig(x_min=1e-20))
+        assert edges[-1] >= 1e-20 > edges[-1] / 2.0
+
+
 class TestFundamentalPair:
     def test_anchor_wronskian_is_exactly_one(self):
         t1, t2 = fundamental_pair(Zero(), 0.0, 1.0, 0.0, CFG)
