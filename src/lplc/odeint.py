@@ -1,12 +1,24 @@
 """Adaptive integration of -y'' + q(x) y = l y as a first-order system.
 
-The equation is advanced as (y, y') with an embedded Dormand-Prince 5(4)
-pair under PI step-size control, one solution per run. Each attempted
-step evaluates q once per new stage abscissa (5 times; the value at the
-step's start is carried over from the previous step), and a step is
-accepted when its error norm, measured against the scale
-abs_tol + rel_tol * |state|, is at most 1. A fundamental pair is two
-runs on one recording grid.
+The equation is advanced as Y = (y, y') with Y' = A Y, A = [[0, 1],
+[q - l, 0]], by Magnus steps Y(x + h) = exp(Omega) Y(x). Each attempted
+step evaluates q at the three Gauss-Legendre nodes x + (1/2 - sqrt(15)/10)
+h, x + h/2 and x + (1/2 + sqrt(15)/10) h, and forms from them the
+sixth- and the fourth-order Magnus generators (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470 (2009)). A is traceless, and so is every Omega: Omega^2 =
+mu^2 I, and exp(Omega) = cosh(mu) I + sinh(mu) / mu Omega in closed form,
+with determinant 1. The step advances with the sixth-order generator; the
+fourth-order one gives the error estimate, and a step is accepted when
+the norm of the difference of the two propagated states, measured against
+abs_tol + rel_tol * |state|, is at most 1. The next step is 0.9 err^(-1/5)
+times the last, at most 5 times. A Magnus step is exact for constant q,
+so its length is set by how fast q varies, not by how fast y grows; a
+step that would grow the solution by more than e^300 is shortened, so
+exp(Omega) stays in float range. No step crosses a breakpoint of q
+(Potential.breakpoints, such as the knots of a table), where q has a
+kink and the expansion would lose its order. Several solutions may
+share one step sequence: fundamental_pair marches both of its columns
+with the same propagators, so their Wronskian stays 1 to rounding.
 
 Because a solution typically grows exponentially toward a singular
 endpoint when Im(l) != 0, the state is kept inside a fixed magnitude
@@ -15,16 +27,18 @@ sum and the logarithm of that factor is accumulated in a log scale, so
 the true solution at a grid point is exp(log_scale) * (y, y'). The
 equation is linear, which makes the rescaling exact.
 
-Each advance also integrates |y|^2 |dx| over the interval it crosses, as
-a quadrature component appended to the system: the step's contribution
-is h * sum(b_i |y_i|^2) over the stage values y_i with the 5th-order
-weights b_i, so it costs no q evaluation and leaves step control on
-(y, y') alone. The sum is kept in the solution's current scale and folded
-into a log-domain total at every rescale, so it never overflows however
-far the solution grows or decays. integrate_grid returns one log integral
-per recording interval, in a trace of plain tuples, so integration and
-every classify run load no numpy: only the functions that compute on
-whole arrays import it.
+Each advance also integrates |y|^2 |dx| over the interval it crosses,
+step by step and without evaluating q again: the solution of the frozen
+generator, y cosh(mu s) + v sinh(mu s) / mu for s in [0, 1], has a
+closed-form integral of |y|^2, and the leading terms of its defect
+against the true solution, taken from the Taylor series of both with q
+interpolated through the three nodes, are added to it. Step control
+stays on (y, y') alone. The sum is kept in the solution's current scale
+and folded into a log-domain total at every rescale, so it never
+overflows however far the solution grows or decays. integrate_grid
+returns one log integral per recording interval, in a trace of plain
+tuples, so integration and every classify run load no numpy: only the
+functions that compute on whole arrays import it.
 
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
@@ -41,6 +55,8 @@ independent integrations may run concurrently without shared state.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -63,25 +79,21 @@ if TYPE_CHECKING:
 
 _EPS = sys.float_info.epsilon
 
-# Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
-# solution (FSAL), and stages 6 and 7 share the abscissa x + h.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# Difference between the 5th- and embedded 4th-order weights (E2 = 0).
-_E1, _E3, _E4, _E5 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200
-_E6, _E7 = 22 / 525, -1 / 40
+# Gauss-Legendre nodes of order 6 on the unit step, and sqrt(15)/3, the
+# scale of the first difference of q across them.
+_NODE1 = 0.5 - math.sqrt(15.0) / 10.0
+_NODE3 = 0.5 + math.sqrt(15.0) / 10.0
+_K = math.sqrt(15.0) / 3.0
 
-_SAFETY = 0.87  # PI equilibrium near 0.1*tol keeps accumulated error under 10*tol
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_SAFETY = 0.9  # the error ratio settles near 0.9^5 = 0.6, and almost no step is rejected
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_GROWTH = 300.0  # a step may grow the solution by at most e^300, far inside float range
 _RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is rescaled
+# Taylor coefficients of p(x) = (sinh(2r) / (2r) - 1) / x and of
+# g(x) = ((cosh(2r) - 1) / (4x) - 1 / 2) / x, for x = r^2
+_P1, _P2, _P3, _P4, _P5 = (4.0**k / math.factorial(2 * k + 1) for k in range(1, 6))
+_G1, _G2, _G3, _G4, _G5 = (4.0**k / math.factorial(2 * k + 2) for k in range(1, 6))
 
 
 @dataclass(frozen=True)
@@ -168,12 +180,14 @@ def _normalized(y: complex, dy: complex, log_scale: float) -> Tuple[complex, com
 
 
 class _Stepper:
-    """Dormand-Prince 5(4) with PI control for y'' = (q - l) y.
+    """Magnus 6(4) pair on three Gauss nodes, with step-size control, for y'' = (q - l) y.
 
-    One stepper advances one solution. It persists across consecutive
-    advance() calls: the step size, the PI error history, the value of q at the last abscissa
-    reached, and the count of attempted steps, which cfg.max_steps
-    bounds over the stepper's whole life.
+    One stepper advances one solution, or several on one step sequence.
+    It persists across consecutive advance() calls: the step size and the
+    count of attempted steps, which cfg.max_steps bounds over the
+    stepper's whole life. Every step ends at or before the next
+    breakpoint of q. Each attempt evaluates q three times, at interior
+    nodes only, so q is never evaluated at a step's ends.
     """
 
     def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig):
@@ -182,9 +196,7 @@ class _Stepper:
         self.cfg = cfg
         self.steps = 0
         self.h = 0.0  # unsigned, carried across segments
-        self.err_prev = 1.0
-        self.x: Optional[float] = None  # abscissa of the carried value p = q(x) - l
-        self.p = 0j
+        self.breaks = q.breakpoints()
 
     def advance(self, x0: float, x1: float, y: complex, dy: complex, log_scale: float):
         """Integrate the state (y, dy, log_scale) from x0 to x1 (either direction).
@@ -193,28 +205,41 @@ class _Stepper:
         into the band, and log_integral is the log of the integral of
         |true y|^2 |dx| from x0 to x1.
         """
+        return self.advance_columns(x0, x1, [(y, dy, log_scale)])[0]
+
+    def advance_columns(self, x0: float, x1: float, columns):
+        """advance() for a list of states (y, dy, log_scale), all on one step sequence."""
         cfg = self.cfg
         q, l = self.q, self.l
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
         band, inv_band = _RESCALE_BAND, 1.0 / _RESCALE_BAND
         sign = 1.0 if x1 > x0 else -1.0
-        span = abs(x1 - x0)
         if _unresolvable(x0, x1):
             raise StepUnderflowError(
                 f"recording interval [{x0}, {x1}] is below float resolution"
             )
-        if self.x != x0:
-            self.x, self.p = x0, evaluate(q, x0) - l
-        p1 = self.p
+        # the breakpoints strictly inside, in marching order, then x1
+        breaks = self.breaks
+        lo, hi = (x0, x1) if sign > 0 else (x1, x0)
+        stops = list(breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)])
+        if sign < 0:
+            stops.reverse()
+        stops.append(x1)
+        ys, dys, scales = (list(c) for c in zip(*columns))
+        n = len(ys)
         # Integral of |y|^2 since the last rescale, in the current scale,
-        # and the log of everything before that.
-        total = 0.0
-        log_integral = -math.inf
+        # and the log of everything before that, per column.
+        totals = [0.0] * n
+        logs = [-math.inf] * n
         if self.h == 0.0:
-            self.h = min(span, _initial_step(y, dy, p1, span))
+            # 1 % of each state's scale over its rate of change
+            p0 = evaluate(q, x0) - l
+            rates = [(abs(y) + abs(dy), abs(dy) + abs(p0 * y)) for y, dy in zip(ys, dys)]
+            self.h = min([abs(x1 - x0)] + [0.01 * size / rate for size, rate in rates if rate > 0.0])
         x = x0
+        target = stops.pop(0)
         while True:
-            remaining = abs(x1 - x)
+            remaining = abs(target - x)
             h = min(self.h, remaining)
             final = h >= remaining * (1.0 - 1e-12)
             if final:
@@ -227,76 +252,133 @@ class _Stepper:
                     f"step budget of {cfg.max_steps} attempted steps exhausted at x={x!r}"
                 )
             hs = sign * h
-            x_new = x1 if final else x + hs
-            p2 = evaluate(q, x + _C2 * hs) - l
-            p3 = evaluate(q, x + _C3 * hs) - l
-            p4 = evaluate(q, x + _C4 * hs) - l
-            p5 = evaluate(q, x + _C5 * hs) - l
-            p6 = evaluate(q, x_new) - l
-            b21 = hs * _A21
-            b31, b32 = hs * _A31, hs * _A32
-            b41, b42, b43 = hs * _A41, hs * _A42, hs * _A43
-            b51, b52, b53, b54 = hs * _A51, hs * _A52, hs * _A53, hs * _A54
-            b61, b62, b63, b64, b65 = hs * _A61, hs * _A62, hs * _A63, hs * _A64, hs * _A65
-            b71, b73, b74, b75, b76 = hs * _A71, hs * _A73, hs * _A74, hs * _A75, hs * _A76
-            e1, e3, e4, e5, e6, e7 = hs * _E1, hs * _E3, hs * _E4, hs * _E5, hs * _E6, hs * _E7
-            # Stage i has input (yi, di) and derivative (di, ki) with ki = pi * yi.
-            d1 = dy
-            k1 = p1 * y
-            y2 = y + b21 * d1
-            d2 = d1 + b21 * k1
-            k2 = p2 * y2
-            y3 = y + b31 * d1 + b32 * d2
-            d3 = d1 + b31 * k1 + b32 * k2
-            k3 = p3 * y3
-            y4 = y + b41 * d1 + b42 * d2 + b43 * d3
-            d4 = d1 + b41 * k1 + b42 * k2 + b43 * k3
-            k4 = p4 * y4
-            y5 = y + b51 * d1 + b52 * d2 + b53 * d3 + b54 * d4
-            d5 = d1 + b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4
-            k5 = p5 * y5
-            y6 = y + b61 * d1 + b62 * d2 + b63 * d3 + b64 * d4 + b65 * d5
-            d6 = d1 + b61 * k1 + b62 * k2 + b63 * k3 + b64 * k4 + b65 * k5
-            k6 = p6 * y6
-            y7 = y + b71 * d1 + b73 * d3 + b74 * d4 + b75 * d5 + b76 * d6
-            d7 = d1 + b71 * k1 + b73 * k3 + b74 * k4 + b75 * k5 + b76 * k6
-            k7 = p6 * y7
-            err_y = e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7
-            err_dy = e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-            # 5th-order quadrature of |y|^2 over the step, per unit |h|
-            a1, a3, a4, a5, a6 = abs(y), abs(y3), abs(y4), abs(y5), abs(y6)
-            quad = _A71 * a1 * a1 + _A73 * a3 * a3 + _A74 * a4 * a4 + _A75 * a5 * a5 + _A76 * a6 * a6
-            sc_y = abs_tol + rel_tol * max(a1, abs(y7))
-            sc_dy = abs_tol + rel_tol * max(abs(d1), abs(d7))
-            err = math.sqrt(0.5 * ((abs(err_y) / sc_y) ** 2 + (abs(err_dy) / sc_dy) ** 2))
+            q1 = evaluate(q, x + _NODE1 * hs)
+            q2 = evaluate(q, x + 0.5 * hs)
+            q3 = evaluate(q, x + _NODE3 * hs)
+            # q through the nodes is p2 + e1 t + e2 t^2 at s = 1/2 + t, with p2 = q2 - l
+            p2 = q2 - l
+            h2 = hs * hs
+            e1 = _K * (q3 - q1)
+            e2 = (10.0 / 3.0) * (q3 - 2.0 * q2 + q1)
+            # Omega = [[a, b], [c, -a]] of the fourth- and the sixth-order
+            # Magnus expansions on the same three nodes (b4 = hs)
+            a4 = -h2 * e1 / 12.0
+            c4 = hs * (p2 + e2 / 12.0)
+            a6 = a4 - h2 * a4 * (p2 / 15.0 + e2 / 600.0)
+            b6 = hs * (1.0 + h2 * (h2 * e1 * e1 / 3600.0 - e2 / 180.0))
+            c6 = c4 + hs * h2 * (e2 * p2 / 180.0 + e2 * e2 / 3600.0 - e1 * e1 / 120.0 + h2 * e1 * e1 * p2 / 3600.0)
+            mu = cmath.sqrt(a6 * a6 + b6 * c6)
+            mu4 = cmath.sqrt(a4 * a4 + hs * c4)
+            growth = max(mu.real, mu4.real)
+            if growth > _MAX_GROWTH:
+                self.h = h * 0.5 * _MAX_GROWTH / growth
+                continue
+            ch6, sh6 = _cosh_sinhc(mu)
+            ch4, sh4 = _cosh_sinhc(mu4)
+            # each column's sixth-order step, and the error of the fourth-order one
+            err = 0.0
+            new = []
+            for y, dy in zip(ys, dys):
+                v = a6 * y + b6 * dy
+                y6 = ch6 * y + sh6 * v
+                d6 = ch6 * dy + sh6 * (c6 * y - a6 * dy)
+                ey = y6 - ch4 * y - sh4 * (a4 * y + hs * dy)
+                ed = d6 - ch4 * dy - sh4 * (c4 * y - a4 * dy)
+                sc_y = abs_tol + rel_tol * max(abs(y), abs(y6))
+                sc_dy = abs_tol + rel_tol * max(abs(dy), abs(d6))
+                err = max(err, (abs(ey) / sc_y) ** 2 + (abs(ed) / sc_dy) ** 2)
+                new.append((y6, d6, v))
+            err = math.sqrt(0.5 * err)
             if not math.isfinite(err):
                 raise NonFiniteError(f"integration blew up near x={x}")
-            if err <= 1.0:
-                x = x_new
-                self.x = x
-                self.p = p1 = p6
-                total += h * quad
-                s = abs(y7) + abs(d7)
+            if err > 1.0:
+                self.h = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                continue
+            x = target if final else x + hs
+            g0, g1, g2 = h2 * p2, h2 * e1, h2 * e2
+            for i, (y6, d6, v) in enumerate(new):
+                y = ys[i]
+                totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
+                s = abs(y6) + abs(d6)
                 if s == 0.0 or not math.isfinite(s):
                     raise NonFiniteError(f"solution state degenerate at x={x}")
                 if s > band or s < inv_band:
-                    log_integral = _fold(log_integral, total, log_scale)
-                    total = 0.0
-                    y7 /= s
-                    d7 /= s
-                    log_scale += math.log(s)
-                y, dy = y7, d7
-                if err == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev ** _PI_BETA
-                self.err_prev = max(err, 1e-10)
-                self.h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                if final:
-                    return y, dy, log_scale, _fold(log_integral, total, log_scale)
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-                self.h = h * factor
+                    logs[i] = _fold(logs[i], totals[i], scales[i])
+                    totals[i] = 0.0
+                    y6 /= s
+                    d6 /= s
+                    scales[i] += math.log(s)
+                ys[i], dys[i] = y6, d6
+            grown = h * min(_MAX_FACTOR, _SAFETY * err ** -0.2 if err else _MAX_FACTOR)
+            # a last step cut short at a stop does not shrink the next one
+            self.h = max(self.h, grown) if final else grown
+            if final:
+                if not stops:
+                    return [(ys[i], dys[i], scales[i], _fold(logs[i], totals[i], scales[i])) for i in range(n)]
+                target = stops.pop(0)
+
+
+def _frozen_defect(g0: complex, g1: float, g2: float, y: complex, w: complex) -> float:
+    """Leading terms of the integral of |y|^2 over the unit step, true solution minus frozen one.
+
+    In the step's own variable s in [0, 1], y'' = g(s) y with
+    g = g0 + g1 (s - 1/2) + g2 (s - 1/2)^2, and y(0) = y, y'(0) = w; the
+    frozen solution is exp(s Omega) applied to that data. The terms kept
+    are those up to the sixth power of the step length, from the Taylor
+    series of both solutions (g0 counts as its second power, g1 as its
+    third, g2 as its fourth).
+    """
+    yy = abs(y) ** 2
+    ww = abs(w) ** 2
+    wy = w * y.conjugate()
+    r0 = g0.real
+    return (
+        (g2 * yy - (2.0 * g1 - g2) * wy.real - g1 * (r0 * yy + ww)) / 180.0
+        + r0 * g2 * yy / 1260.0
+        + g1 * g1 * yy / 1080.0
+        + g2 * ww / 756.0
+        - g1 * ((g0 * wy).real / 1260.0 + (g0 * wy.conjugate()).real * (17.0 / 3780.0))
+    )
+
+
+def _cosh_sinhc(mu: complex) -> Tuple[complex, complex]:
+    """cosh(mu) and sinh(mu) / mu, so that exp(Omega) = cosh(mu) I + sinh(mu) / mu Omega for Omega^2 = mu^2 I."""
+    if mu == 0.0:
+        return 1.0, 1.0
+    return cmath.cosh(mu), cmath.sinh(mu) / mu
+
+
+def _unit_square_integral(mu: complex, y: complex, v: complex) -> float:
+    """Integral over s in [0, 1] of |y cosh(mu s) + v sinh(mu s) / mu|^2.
+
+    With mu = r + i t, |cosh|^2, |sinh / mu|^2 and cosh conj(sinh / mu)
+    integrate to (Sh + Sn) / 2, (Sh - Sn) / (2 |mu|^2) and
+    (sinh(r)^2 / r - i sin(t)^2 / t) / (2 conj(mu)), where Sh = sinh(2r) / (2r)
+    and Sn = sin(2t) / (2t). For |mu|^2 < 1/32 they are summed as power
+    series in r^2 and t^2 instead, free of the cancellation in Sh - Sn.
+    """
+    r, t = mu.real, mu.imag
+    x, w = r * r, t * t
+    m2 = x + w
+    if m2 < 0.03125:
+        # Sh - 1 = x p(x) and Sn - 1 = -w p(-w); sinh(r)^2 / r = r (1 + 2 x g(x)), sin(t)^2 / t = t (1 - 2 w g(-w))
+        xp = x * (_P1 + x * (_P2 + x * (_P3 + x * (_P4 + x * _P5))))
+        wp = w * (_P1 - w * (_P2 - w * (_P3 - w * (_P4 - w * _P5))))
+        kcc = 1.0 + 0.5 * (xp - wp)
+        if m2 == 0.0:
+            return abs(y) ** 2 + abs(v) ** 2 / 3.0 + (y * v.conjugate()).real
+        kss = 0.5 * (xp + wp) / m2
+        gx = x * (_G1 + x * (_G2 + x * (_G3 + x * (_G4 + x * _G5))))
+        gw = w * (_G1 - w * (_G2 - w * (_G3 - w * (_G4 - w * _G5))))
+        cross = 0.5 + complex(r * gx, t * gw) / mu.conjugate()
+    else:
+        sh_r, sn_t = math.sinh(r), math.sin(t)
+        sh = sh_r * math.cosh(r) / r if r else 1.0
+        sn = sn_t * math.cos(t) / t if t else 1.0
+        kcc = 0.5 * (sh + sn)
+        kss = 0.5 * (sh - sn) / m2
+        cross = complex(sh_r * sh_r / r if r else 0.0, -(sn_t * sn_t / t if t else 0.0)) / (2.0 * mu.conjugate())
+    return abs(y) ** 2 * kcc + abs(v) ** 2 * kss + 2.0 * (y * v.conjugate() * cross).real
 
 
 def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:
@@ -311,14 +393,6 @@ def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:
 def _unresolvable(x0: float, x1: float) -> bool:
     """True when [x0, x1] is too narrow to march: at most 64 eps of its larger end."""
     return abs(x1 - x0) <= 64.0 * _EPS * max(abs(x0), abs(x1))
-
-
-def _initial_step(y: complex, dy: complex, p: complex, span: float) -> float:
-    """First step guess: 1 % of the state's scale over its rate of change."""
-    rate = abs(dy) + abs(p * y)
-    if rate > 0.0:
-        return 0.01 * (abs(y) + abs(dy)) / rate
-    return 0.1 * span
 
 
 def _whole_shells(outer: float, inner: float) -> int:
@@ -403,6 +477,11 @@ def integrate_grid(
     call sharing `_stepper`.
     """
     cfg = cfg or IntegratorConfig()
+    return _march(q, complex(l), grid, [init], _stepper or _Stepper(q, complex(l), cfg))[0]
+
+
+def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[ComplexState], stepper: _Stepper):
+    """One trace per initial state, all marched on the stepper's one step sequence."""
     try:
         points = tuple(float(x) for x in grid)
     except TypeError:
@@ -414,26 +493,30 @@ def integrate_grid(
     pairs = tuple(zip(points, points[1:]))
     if not (all(x0 < x1 for x0, x1 in pairs) or all(x0 > x1 for x0, x1 in pairs)):
         raise ValueError("grid must be strictly monotone")
-    l = complex(l)
-    state = _normalized(complex(init.y), complex(init.dy), float(init.log_scale))
-    rows = [state]
+    states = [_normalized(complex(s.y), complex(s.dy), float(s.log_scale)) for s in inits]
+    rows = [states]
     integrals = []
-    stepper = _stepper or _Stepper(q, l, cfg)
     for x0, x1 in pairs:
-        *state, integral = stepper.advance(x0, x1, *state)
-        rows.append(state)
-        integrals.append(integral)
-    y, dy, log_scale = zip(*rows)
-    return SolutionTrace(
-        eigenvalue=l,
-        x=points,
-        y=y,
-        dy=dy,
-        log_scale=log_scale,
-        potential=q,
-        direction=1 if points[-1] > points[0] else -1,
-        log_square_integrals=tuple(integrals),
-    )
+        out = stepper.advance_columns(x0, x1, states)
+        states = [o[:3] for o in out]
+        rows.append(states)
+        integrals.append([o[3] for o in out])
+    traces = []
+    for k in range(len(inits)):
+        y, dy, log_scale = zip(*(row[k] for row in rows))
+        traces.append(
+            SolutionTrace(
+                eigenvalue=l,
+                x=points,
+                y=y,
+                dy=dy,
+                log_scale=log_scale,
+                potential=q,
+                direction=1 if points[-1] > points[0] else -1,
+                log_square_integrals=tuple(i[k] for i in integrals),
+            )
+        )
+    return traces
 
 
 def fundamental_pair(
@@ -445,16 +528,15 @@ def fundamental_pair(
 ) -> Tuple[SolutionTrace, SolutionTrace]:
     """The fundamental pair: the solution with data (1, 0) and the one with (0, 1) at the anchor x0.
 
-    Each is its own run on the same recording grid. Their Wronskian
-    equals 1 at the anchor, so they span the full solution space of the
-    equation at this eigenvalue.
+    Both are marched on one step sequence, so each step applies one
+    propagator, of determinant 1, to both columns, and their Wronskian
+    stays 1 to rounding.
     """
     cfg = cfg or IntegratorConfig()
     grid = build_grid(q, x0, target, cfg)
-    return (
-        integrate_grid(q, l, grid, ComplexState(1.0, 0.0), cfg),
-        integrate_grid(q, l, grid, ComplexState(0.0, 1.0), cfg),
-    )
+    l = complex(l)
+    first, second = _march(q, l, grid, [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)], _Stepper(q, l, cfg))
+    return first, second
 
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:

@@ -28,7 +28,8 @@ class Potential:
 
     Subclasses implement ``_raw(x)`` (may raise arithmetic errors),
     ``origin_coefficient`` and the canonical dict encoding, and override
-    ``is_even`` when the formula is even bit for bit.
+    ``is_even`` when the formula is even bit for bit and ``breakpoints``
+    when q has kinks.
     """
 
     def _raw(self, x: float) -> float:
@@ -45,6 +46,10 @@ class Potential:
     def origin_coefficient(self) -> Optional[float]:
         """Limit of x^2 q(x) as x -> 0+, or None when absent/divergent."""
         raise NotImplementedError
+
+    def breakpoints(self) -> Tuple[float, ...]:
+        """Increasing abscissas where q is not smooth; the integrator never steps across one."""
+        return ()
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -170,6 +175,9 @@ class Sum(Potential):
     def is_even(self) -> bool:
         return all(t.is_even() for t in self.terms)
 
+    def breakpoints(self) -> Tuple[float, ...]:
+        return tuple(sorted(set().union(*(t.breakpoints() for t in self.terms))))
+
     def origin_coefficient(self) -> Optional[float]:
         total = 0.0
         for t in self.terms:
@@ -223,6 +231,9 @@ class Tabulated(Potential):
     def origin_coefficient(self) -> Optional[float]:
         return None  # no trustworthy limit from finite samples
 
+    def breakpoints(self) -> Tuple[float, ...]:
+        return self._xs  # q is linear between the knots
+
     def to_dict(self) -> dict:
         return {"type": "tabulated", "x": list(self._xs), "q": list(self._qs)}
 
@@ -244,6 +255,9 @@ class Mirrored(Potential):
 
     def is_even(self) -> bool:
         return self.base.is_even()
+
+    def breakpoints(self) -> Tuple[float, ...]:
+        return tuple(-x for x in reversed(self.base.breakpoints()))
 
     def origin_coefficient(self) -> Optional[float]:
         return None

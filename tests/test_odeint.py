@@ -65,9 +65,11 @@ class TestIntegrate:
             integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 1.0, CFG), ComplexState(1.0, 0.0), CFG)
 
     def test_max_steps_exceeded(self):
+        # a Magnus step is exact for constant q, so a fast-varying q exhausts the budget
         cfg = IntegratorConfig(max_steps=1000)
-        with pytest.raises(MaxStepsExceededError):
-            integrate_grid(Zero(), 1e8, build_grid(Zero(), 0.0, 10.0, cfg), ComplexState(1.0, 0.0), cfg)
+        q = PowerLaw(-1e8, 1.0)
+        with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 attempted steps exhausted at x=0\.05"):
+            integrate_grid(q, 0.0, build_grid(q, 0.0, 10.0, cfg), ComplexState(1.0, 0.0), cfg)
 
     def test_step_underflow_on_unresolvable_grid(self):
         # a 4-ulp recording interval at x = 1e16 cannot be resolved
@@ -81,6 +83,48 @@ class TestIntegrate:
         q = Tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(OutOfRangeError):
             integrate_grid(q, 0.0, [2.5, 3.5], ComplexState(1.0, 0.0), CFG)
+
+
+class TestBreakpoints:
+    class Recording(Potential):
+        """A table that records where it is evaluated."""
+
+        def __init__(self, table):
+            self.table, self.xs = table, []
+
+        def _raw(self, x):
+            self.xs.append(x)
+            return self.table._raw(x)
+
+        def breakpoints(self):
+            return self.table.breakpoints()
+
+    @pytest.mark.parametrize("x0, x1", [(0.1, 2.9), (2.9, 0.1)])
+    def test_no_step_crosses_a_knot(self, x0, x1):
+        from lplc.potentials import Tabulated
+
+        q = self.Recording(Tabulated([0.0, 0.7, 1.0, 2.2, 3.0], [1.0, -2.0, 3.0, 0.5, 4.0]))
+        integrate_grid(q, 1j, [x0, x1], ComplexState(1.0, 0.0), CFG)
+        # the first evaluation sizes the first step; then each attempt takes three nodes
+        nodes = q.xs[1:]
+        assert len(nodes) % 3 == 0 and len(nodes) > 30
+        for k in range(0, len(nodes), 3):
+            step = nodes[k : k + 3]
+            for knot in q.breakpoints():
+                assert all(x < knot for x in step) or all(x > knot for x in step), (step, knot)
+
+    def test_table_march_matches_a_tight_one(self):
+        # q is linear between the knots, so with knot-aware steps the march
+        # at the default tolerance agrees with one a thousand times tighter
+        from lplc.potentials import Tabulated
+
+        xs = [0.2 + 0.1 * k for k in range(41)]
+        q = Tabulated(xs, [math.sin(3.0 * x) + 0.5 * math.cos(7.0 * x) for x in xs])
+        edges = shell_edges(1.0, 4.2, CFG)[:13]
+        loose = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG).log_square_integrals
+        tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        tight = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
+        assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-8
 
 
 class TestConfig:

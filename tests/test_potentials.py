@@ -207,6 +207,25 @@ class TestParity:
         assert evaluate(SYMMETRIC_TABLE, -1.3) != evaluate(SYMMETRIC_TABLE, 1.3)
 
 
+class TestBreakpoints:
+    TABLE = Tabulated([0.0, 1.0, 2.5, 3.0], [0.0, 1.0, -1.0, 2.0])
+
+    @pytest.mark.parametrize("q", [Zero(), InverseSquare(2.0), Coulomb(1.0), PowerLaw(1.0, 1.5), Harmonic(1.0)])
+    def test_analytic_potentials_have_none(self, q):
+        assert q.breakpoints() == ()
+
+    def test_table_breaks_at_its_knots(self):
+        assert self.TABLE.breakpoints() == (0.0, 1.0, 2.5, 3.0)
+
+    def test_sum_merges_the_knots_of_its_terms(self):
+        other = Tabulated([0.5, 1.0, 2.0, 4.0], [0.0, 0.0, 1.0, 1.0])
+        q = Sum([self.TABLE, Harmonic(1.0), other])
+        assert q.breakpoints() == (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0)
+
+    def test_mirror_negates_and_reorders(self):
+        assert Mirrored(self.TABLE).breakpoints() == (-3.0, -2.5, -1.0, -0.0)
+
+
 class TestEffectivePotential:
     def test_zero_l0_is_flat(self):
         ep = effective_potential(Zero(), 3, 0)
