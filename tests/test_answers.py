@@ -10,7 +10,8 @@ here. Regenerate the files only on purpose, with
     PYTHONPATH=src python tests/test_answers.py --regenerate
 
 in a commit of its own, and add a CHANGES.md entry naming every verdict
-that moved and the largest change in a shell log.
+that moved and the largest change in a shell log. --dump and --compare
+check further seeds against another tree in the same way (see USAGE).
 """
 
 import importlib.util
@@ -89,15 +90,35 @@ def _regenerate() -> None:
         path = path_of(workload, seed)
         new = digest(workload, seed)
         if path.exists():
-            moved, largest = compare(json.loads(path.read_text(encoding="utf-8")), new)
-            print(f"{path.name}: {len(moved)} moved verdicts, largest shell-log change {largest:.3g}")
-            for line in moved:
-                print(f"  {line}")
+            _report(path.name, json.loads(path.read_text(encoding="utf-8")), new)
         path.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
 
 
+def _report(name: str, old: list, new: list) -> None:
+    moved, largest = compare(old, new)
+    print(f"{name}: {len(moved)} moved verdicts, largest shell-log change {largest:.3g}")
+    for line in moved:
+        print(f"  {line}")
+
+
+USAGE = """usage: PYTHONPATH=src python tests/test_answers.py --regenerate
+       PYTHONPATH=<src of any tree> python tests/test_answers.py --dump FILE SEED [SEED ...]
+       PYTHONPATH=src python tests/test_answers.py --compare OLD_FILE NEW_FILE
+
+--dump writes the digest of both corpora at other seeds, for the lplc on
+PYTHONPATH; --compare reports the verdicts that moved between two dumps."""
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--regenerate"]:
+    args = sys.argv[1:]
+    if args == ["--regenerate"]:
         _regenerate()
+    elif len(args) >= 3 and args[0] == "--dump":
+        dump = {f"{w}-{seed}": digest(w, int(seed)) for w in WORKLOADS for seed in args[2:]}
+        Path(args[1]).write_text(json.dumps(dump), encoding="utf-8")
+    elif len(args) == 3 and args[0] == "--compare":
+        old, new = (json.loads(Path(f).read_text(encoding="utf-8")) for f in args[1:])
+        for key in sorted(old):
+            _report(key, old[key], new[key])
     else:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_answers.py --regenerate")
+        raise SystemExit(USAGE)
