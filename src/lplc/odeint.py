@@ -497,7 +497,8 @@ def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[Comp
     rows = [states]
     integrals = []
     for x0, x1 in pairs:
-        out = stepper.advance_columns(x0, x1, states)
+        # one solution goes through advance, the entry a single march uses
+        out = [stepper.advance(x0, x1, *states[0])] if len(states) == 1 else stepper.advance_columns(x0, x1, states)
         states = [o[:3] for o in out]
         rows.append(states)
         integrals.append([o[3] for o in out])
@@ -535,8 +536,7 @@ def fundamental_pair(
     cfg = cfg or IntegratorConfig()
     grid = build_grid(q, x0, target, cfg)
     l = complex(l)
-    first, second = _march(q, l, grid, [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)], _Stepper(q, l, cfg))
-    return first, second
+    return tuple(_march(q, l, grid, [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)], _Stepper(q, l, cfg)))
 
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:
