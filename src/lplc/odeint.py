@@ -187,7 +187,8 @@ class _Stepper:
     count of attempted steps, which cfg.max_steps bounds over the
     stepper's whole life. Every step ends at or before the next
     breakpoint of q. Each attempt evaluates q three times, at interior
-    nodes only, so q is never evaluated at a step's ends.
+    nodes only; the one other evaluation, at the start, sizes the first
+    step.
     """
 
     def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig):

@@ -224,7 +224,6 @@ class TestGrids:
             assert math.ldexp(distance, -n - 1) < cfg.x_min
             assert n == 0 or math.ldexp(distance, -n) >= cfg.x_min
 
-
     @pytest.mark.parametrize("x_start, x_end", [(0.5, 1.0), (1.5, 1.0), (-0.5, -1.0), (3.0, 1e6)])
     def test_edges_stop_at_the_float_resolution(self, x_start, x_end):
         # d * 2^-k would fall below an ulp of the end long before x_min
