@@ -32,8 +32,11 @@ step by step and without evaluating q again: the solution of the frozen
 generator, y cosh(mu s) + v sinh(mu s) / mu for s in [0, 1], has a
 closed-form integral of |y|^2, and the leading terms of its defect
 against the true solution, taken from the Taylor series of both with q
-interpolated through the three nodes, are added to it. Step control
-stays on (y, y') alone. The sum is kept in the solution's current scale
+interpolated through the three nodes, are added to it. Those terms are
+a series in h^2 (q - l), so a step on which q varies is also kept short
+enough that |h^2 (q - l)| <= 1/4; where q is constant the frozen
+solution is exact and no such bound applies. Step control stays on
+(y, y') alone. The sum is kept in the solution's current scale
 and folded into a log-domain total at every rescale, so it never
 overflows however far the solution grows or decays. integrate_grid
 returns one log integral per recording interval, in a trace of plain
@@ -89,6 +92,7 @@ _SAFETY = 0.9  # the error ratio settles near 0.9^5 = 0.6, and almost no step is
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_GROWTH = 300.0  # a step may grow the solution by at most e^300, far inside float range
+_MAX_G0 = 0.25  # bound on |h^2 (q - l)| for a step on which q varies
 _RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is rescaled
 # Taylor coefficients of p(x) = (sinh(2r) / (2r) - 1) / x and of
 # g(x) = ((cosh(2r) - 1) / (4x) - 1 / 2) / x, for x = r^2
@@ -186,9 +190,11 @@ class _Stepper:
     It persists across consecutive advance() calls: the step size and the
     count of attempted steps, which cfg.max_steps bounds over the
     stepper's whole life. Every step ends at or before the next
-    breakpoint of q. Each attempt evaluates q three times, at interior
-    nodes only; the one other evaluation, at the start, sizes the first
-    step.
+    breakpoint of q. Besides the error estimate, two bounds shorten a
+    step: it grows the solution by at most e^_MAX_GROWTH, and where q
+    varies on it, |h^2 (q - l)| <= _MAX_G0. Each attempt evaluates q
+    three times, at interior nodes only; the one other evaluation, at
+    the start, sizes the first step.
     """
 
     def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig):
@@ -274,6 +280,12 @@ class _Stepper:
             if growth > _MAX_GROWTH:
                 self.h = h * 0.5 * _MAX_GROWTH / growth
                 continue
+            # where q varies, |h^2 (q - l)| <= _MAX_G0 keeps the defect
+            # terms of the step integral inside the range of their series
+            h_cap = math.sqrt(_MAX_G0 / abs(p2)) if (e1 or e2) and p2 else math.inf
+            if h > h_cap:
+                self.h = _SAFETY * h_cap
+                continue
             ch6, sh6 = _cosh_sinhc(mu)
             ch4, sh4 = _cosh_sinhc(mu4)
             # each column's sixth-order step, and the error of the fourth-order one
@@ -310,7 +322,7 @@ class _Stepper:
                     d6 /= s
                     scales[i] += math.log(s)
                 ys[i], dys[i] = y6, d6
-            grown = h * min(_MAX_FACTOR, _SAFETY * err ** -0.2 if err else _MAX_FACTOR)
+            grown = min(h * min(_MAX_FACTOR, _SAFETY * err ** -0.2 if err else _MAX_FACTOR), _SAFETY * h_cap)
             # a last step cut short at a stop does not shrink the next one
             self.h = max(self.h, grown) if final else grown
             if final:

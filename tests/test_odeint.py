@@ -23,7 +23,7 @@ from lplc.odeint import (
     shell_edges,
     wronskian_values,
 )
-from lplc.potentials import Coulomb, InverseSquare, Potential, PowerLaw, Sum, Zero
+from lplc.potentials import Coulomb, Harmonic, InverseSquare, Potential, PowerLaw, Sum, Zero
 from lplc.sobolev import SampledFunction
 
 CFG = IntegratorConfig()
@@ -121,6 +121,68 @@ class TestBreakpoints:
         xs = [0.2 + 0.1 * k for k in range(41)]
         q = Tabulated(xs, [math.sin(3.0 * x) + 0.5 * math.cos(7.0 * x) for x in xs])
         edges = shell_edges(1.0, 4.2, CFG)[:13]
+        loose = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG).log_square_integrals
+        tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        tight = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
+        assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-8
+
+
+class TestStepIntegral:
+    """The |y|^2 integral of a step: the frozen solution's closed form plus its defect terms."""
+
+    Y0, DY0 = 1.0, 0.5 - 0.3j
+
+    def fine_log_integral(self, q, x0, h, n=2000):
+        """log of the integral of |y|^2 over [x0, x0 + h], by RK4 and Simpson's rule on n pieces."""
+        f = lambda x, y: (q._raw(x) - 1j) * y
+        dx = h / n
+        y, dy = complex(self.Y0), complex(self.DY0)
+        squares = [abs(y) ** 2]
+        for k in range(n):
+            x = x0 + k * dx
+            k1y, k1d = dy, f(x, y)
+            k2y, k2d = dy + 0.5 * dx * k1d, f(x + 0.5 * dx, y + 0.5 * dx * k1y)
+            k3y, k3d = dy + 0.5 * dx * k2d, f(x + 0.5 * dx, y + 0.5 * dx * k2y)
+            k4y, k4d = dy + dx * k3d, f(x + dx, y + dx * k3y)
+            y += dx / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            dy += dx / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            squares.append(abs(y) ** 2)
+        simpson = dx / 3.0 * (squares[0] + squares[-1] + 4.0 * sum(squares[1:-1:2]) + 2.0 * sum(squares[2:-1:2]))
+        return math.log(simpson)
+
+    def one_step_log_integral(self, q, x0, h):
+        stepper = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1.0, abs_tol=1.0))
+        stepper.h = 2.0 * h
+        log_integral = stepper.advance(x0, x0 + h, self.Y0, self.DY0, 0.0)[3]
+        assert stepper.steps == 1
+        return log_integral
+
+    @pytest.mark.parametrize("q", [PowerLaw(1.0, 1.0), PowerLaw(-3.0, 1.0), Harmonic(1.0), Harmonic(-5.0)])
+    def test_one_step_matches_a_fine_quadrature(self, q):
+        # for linear and quadratic q the three nodes interpolate q exactly;
+        # the defect terms run to the sixth power of h, so the relative
+        # error of the step integral falls about 2^7 times per halving
+        # (2^5 for the frozen solution alone, and a tenth off in one of
+        # the coefficients 1/180, 1/1080, 1/756, 17/3780 or r0 g2 / 1260
+        # moves the ratio out of this range)
+        errors = [self.one_step_log_integral(q, 1.0, h) - self.fine_log_integral(q, 1.0, h) for h in (0.1, 0.05)]
+        assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
+
+    def test_fast_oscillation_matches_a_tight_march(self):
+        # q = -x near 1e4 oscillates 100 times per unit and barely varies:
+        # without a bound on |h^2 (q - l)| the defect terms leave their
+        # range and the march reads 2e-9 off
+        grid = [1e4 + k for k in range(9)]
+        q = PowerLaw(-1.0, 1.0)
+        loose = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), CFG).log_square_integrals
+        tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
+        assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-10
+
+    def test_oscillatory_shells_match_a_tight_march(self):
+        # q = -x^4 toward +inf from 1: three shells, about 470 oscillations
+        edges = shell_edges(1.0, math.inf, CFG)[:4]
+        q = PowerLaw(-1.0, 4.0)
         loose = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG).log_square_integrals
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         tight = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
