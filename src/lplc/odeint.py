@@ -510,8 +510,7 @@ def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[Comp
     rows = [states]
     integrals = []
     for x0, x1 in pairs:
-        # one solution goes through advance, the entry a single march uses
-        out = [stepper.advance(x0, x1, *states[0])] if len(states) == 1 else stepper.advance_columns(x0, x1, states)
+        out = stepper.advance_columns(x0, x1, states)
         states = [o[:3] for o in out]
         rows.append(states)
         integrals.append([o[3] for o in out])
