@@ -1,6 +1,6 @@
 """Paired benchmark runs of this tree against a parent revision.
 
-    python3 tools/paired_bench.py PARENT_REV --workload W --seed S [--pairs N] [--seconds T]
+    python3 tools/paired_bench.py PARENT_REV --workload W --seed S [--pairs N]
 
 Run from the root of the repository. The parent revision is checked out
 with `git worktree add` into a temporary directory, which is removed on
@@ -8,9 +8,10 @@ exit, also on error. Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in the parent's tree and once in this one, one after the other; odd
-pairs run the parent first, even pairs this tree first, so that a drift
-of the host's speed falls on both sides alike. Nothing under perfbench/
+with T the run length `run_seconds` of BENCHMARK.json, once in the
+parent's tree and once in this one, one after the other; odd pairs run
+the parent first, even pairs this tree first, so that a drift of the
+host's speed falls on both sides alike. Nothing under perfbench/
 is changed.
 
 For every end-to-end metric of BENCHMARK.json the report gives each
@@ -41,14 +42,13 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
     return parser.parse_args(argv)
 
 
-def run_once(tree: Path, args) -> dict:
+def run_once(tree: Path, args, seconds: float) -> dict:
     """The last JSON line of one untraced perfbench run in `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed)]
-    cmd += ["--seconds", str(args.seconds), "--trace", "0"]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -72,8 +72,7 @@ def summarize(parent: list, change: list, better: str) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.seconds is None:
-        args.seconds = float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     metrics = bench["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="paired-bench-"))
     parent_tree = tmp / "parent"
@@ -84,13 +83,13 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(trees[side], args))
+                runs[side].append(run_once(trees[side], args, seconds))
             print(f"pair {k + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT, capture_output=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g}-s runs, {args.parent} vs this tree")
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {seconds:g}-s runs, {args.parent} vs this tree")
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
