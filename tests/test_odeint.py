@@ -168,26 +168,22 @@ class TestStepIntegral:
         errors = [self.one_step_log_integral(q, 1.0, h) - self.fine_log_integral(q, 1.0, h) for h in (0.1, 0.05)]
         assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
 
-    def test_fast_oscillation_matches_a_tight_march(self):
-        # q = -x near 1e4 oscillates 100 times per unit and barely varies:
-        # without a bound on |h^2 (q - l)| the defect terms leave their
-        # range and the march reads 2e-9 off
-        grid = [1e4 + k for k in range(9)]
-        q = PowerLaw(-1.0, 1.0)
+    @pytest.mark.parametrize(
+        "q, grid, bound",
+        [
+            # q = -x near 1e4 oscillates 100 times per unit and barely varies:
+            # without the bound on |h^2 (q - l)| the defect terms leave the
+            # range of their series and the march reads 2e-9 off
+            (PowerLaw(-1.0, 1.0), [1e4 + k for k in range(9)], 1e-10),
+            # q = -x^4 toward +inf from 1: three shells, about 470 oscillations
+            (PowerLaw(-1.0, 4.0), [1.0, 2.0, 4.0, 8.0], 1e-8),
+        ],
+    )
+    def test_oscillatory_march_matches_a_tight_one(self, q, grid, bound):
         loose = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), CFG).log_square_integrals
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
-        assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-10
-
-    def test_oscillatory_shells_match_a_tight_march(self):
-        # q = -x^4 toward +inf from 1: three shells, about 470 oscillations
-        edges = shell_edges(1.0, math.inf, CFG)[:4]
-        q = PowerLaw(-1.0, 4.0)
-        loose = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG).log_square_integrals
-        tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        tight = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
-        assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-8
-
+        assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_steps", "x_min", "x_max"])
