@@ -16,9 +16,10 @@ so its length is set by how fast q varies, not by how fast y grows; a
 step that would grow the solution by more than e^300 is shortened, so
 exp(Omega) stays in float range. No step crosses a breakpoint of q
 (Potential.breakpoints, such as the knots of a table), where q has a
-kink and the expansion would lose its order. Several solutions may
-share one step sequence: fundamental_pair marches both of its columns
-with the same propagators, so their Wronskian stays 1 to rounding.
+kink and the expansion would lose its order. Every march goes through
+_Stepper.advance, which moves a list of states on one step sequence:
+fundamental_pair's two columns share its propagators, so their
+Wronskian stays 1 to rounding.
 
 Because a solution typically grows exponentially toward a singular
 endpoint when Im(l) != 0, the state is kept inside a fixed magnitude
@@ -186,7 +187,7 @@ def _normalized(y: complex, dy: complex, log_scale: float) -> Tuple[complex, com
 class _Stepper:
     """Magnus 6(4) pair on three Gauss nodes, with step-size control, for y'' = (q - l) y.
 
-    One stepper advances one solution, or several on one step sequence.
+    Its one entry, advance(), moves a list of states on one step sequence.
     It persists across consecutive advance() calls: the step size and the
     count of attempted steps, which cfg.max_steps bounds over the
     stepper's whole life. Every step ends at or before the next
@@ -205,17 +206,14 @@ class _Stepper:
         self.h = 0.0  # unsigned, carried across segments
         self.breaks = q.breakpoints()
 
-    def advance(self, x0: float, x1: float, y: complex, dy: complex, log_scale: float):
-        """Integrate the state (y, dy, log_scale) from x0 to x1 (either direction).
+    def advance(self, x0: float, x1: float, states):
+        """Integrate each state (y, dy, log_scale) of the list from x0 to x1 (either direction).
 
-        Returns (y, dy, log_scale, log_integral): the state is rescaled
-        into the band, and log_integral is the log of the integral of
-        |true y|^2 |dx| from x0 to x1.
+        All states share one step sequence. Returns one (y, dy, log_scale,
+        log_integral) per state: the state is rescaled into the band, and
+        log_integral is the log of the integral of |true y|^2 |dx| from x0
+        to x1.
         """
-        return self.advance_columns(x0, x1, [(y, dy, log_scale)])[0]
-
-    def advance_columns(self, x0: float, x1: float, columns):
-        """advance() for a list of states (y, dy, log_scale), all on one step sequence."""
         cfg = self.cfg
         q, l = self.q, self.l
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
@@ -228,11 +226,8 @@ class _Stepper:
         # the breakpoints strictly inside, in marching order, then x1
         breaks = self.breaks
         lo, hi = (x0, x1) if sign > 0 else (x1, x0)
-        stops = list(breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)])
-        if sign < 0:
-            stops.reverse()
-        stops.append(x1)
-        ys, dys, scales = (list(c) for c in zip(*columns))
+        stops = [*breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)][:: int(sign)], x1]
+        ys, dys, scales = (list(c) for c in zip(*states))
         n = len(ys)
         # Integral of |y|^2 since the last rescale, in the current scale,
         # and the log of everything before that, per column.
@@ -510,7 +505,7 @@ def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[Comp
     rows = [states]
     integrals = []
     for x0, x1 in pairs:
-        out = stepper.advance_columns(x0, x1, states)
+        out = stepper.advance(x0, x1, states)
         states = [o[:3] for o in out]
         rows.append(states)
         integrals.append([o[3] for o in out])

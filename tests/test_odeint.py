@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lplc import odeint
+from lplc.classify import classify_interval
 from lplc.errors import (
     GridMismatchError,
     MaxStepsExceededError,
@@ -153,7 +154,7 @@ class TestStepIntegral:
     def one_step_log_integral(self, q, x0, h):
         stepper = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1.0, abs_tol=1.0))
         stepper.h = 2.0 * h
-        log_integral = stepper.advance(x0, x0 + h, self.Y0, self.DY0, 0.0)[3]
+        log_integral = stepper.advance(x0, x0 + h, [(self.Y0, self.DY0, 0.0)])[0][3]
         assert stepper.steps == 1
         return log_integral
 
@@ -331,7 +332,7 @@ class TestFundamentalPair:
 
 
 class TestSharedMarch:
-    """A fundamental pair: two separate runs on one recording grid."""
+    """A fundamental pair: both columns marched on one step sequence, with one propagator per step."""
 
     @pytest.mark.parametrize(
         "q, x0, target",
@@ -347,6 +348,32 @@ class TestSharedMarch:
         # Abel: the Wronskian det Y of the pair is constant, 1 at the anchor
         det_y = wronskian_values(*fundamental_pair(q, 1j, x0, target, CFG))
         assert np.max(np.abs(det_y - 1.0)) < 1e3 * CFG.rel_tol
+
+
+class TestOneSteppingEntry:
+    """_Stepper.advance is the one stepping entry: a wrap of it sees every march."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The number of states of each advance() call."""
+        seen = []
+        advance = odeint._Stepper.advance
+
+        def wrapped(stepper, x0, x1, states):
+            seen.append(len(states))
+            return advance(stepper, x0, x1, states)
+
+        monkeypatch.setattr(odeint._Stepper, "advance", wrapped)
+        return seen
+
+    def test_classify_interval_marches_one_state_per_shell(self, widths):
+        report = classify_interval(Zero(), 0.0, 4.0, engine="numeric")
+        shells = len(report.left.tail.log_shell_integrals) + len(report.right.tail.log_shell_integrals)
+        assert widths == [1] * shells
+
+    def test_fundamental_pair_marches_both_columns_together(self, widths):
+        t1, _ = fundamental_pair(Coulomb(2.0), 1j, 0.5, 8.0, CFG)
+        assert widths == [2] * (len(t1.x) - 1)
 
 
 class TestWronskian:
