@@ -34,6 +34,7 @@ _EXPORTS = {
         "GridMismatchError",
         "InsufficientTailError",
         "IntegrationError",
+        "InteriorSingularityError",
         "LplcError",
         "MaxStepsExceededError",
         "MissingDerivativeError",

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import AsymptoticsUnavailableError, InsufficientTailError
+from .errors import AsymptoticsUnavailableError, InsufficientTailError, InteriorSingularityError, NonFiniteError
 from .odeint import ComplexState, IntegratorConfig, _Stepper, shell_edges
-from .potentials import EffectiveProblem, Potential
+from .potentials import EffectiveProblem, Potential, evaluate
 
 # perfbench/tracer.py wraps these three by module attribute, so
 # classify_numeric calls integrate_grid through this module.
@@ -419,12 +419,23 @@ def classify_interval(
     module docstring), its verdict is reused for the right endpoint,
     which is then not marched, when a == -b, anchor_left == -anchor_right
     and q.is_even().
+
+    An interval with 0 inside, where q does not evaluate, is refused with
+    InteriorSingularityError: the operator splits at 0 into two problems,
+    whose ends this function does not compose.
     """
     if engine not in ("both", "asymptotic", "numeric"):
         raise ValueError("engine must be 'both', 'asymptotic' or 'numeric'")
     cfg = cfg or IntegratorConfig()
     if isinstance(q, EffectiveProblem):
         q = q.q_eff
+    if a < 0.0 < b:
+        try:
+            evaluate(q, 0.0)
+        except NonFiniteError:
+            raise InteriorSingularityError(
+                f"q is singular at 0, inside ({a!r}, {b!r}); intervals with an interior singular point are not supported"
+            ) from None
     anchor_left, anchor_right = anchors or default_anchor(a, b)
     for anchor in (anchor_left, anchor_right):
         if not a < anchor < b:

@@ -29,6 +29,10 @@ class MaxStepsExceededError(IntegrationError):
     """The step budget was exhausted before reaching the target."""
 
 
+class InteriorSingularityError(LplcError):
+    """q is singular at a point strictly inside the interval, where the operator splits."""
+
+
 class GridMismatchError(LplcError):
     """Two traces do not share the grid points needed for the operation."""
 

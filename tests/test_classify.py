@@ -33,6 +33,7 @@ from lplc.classify import (
 from lplc.errors import (
     AsymptoticsUnavailableError,
     InsufficientTailError,
+    InteriorSingularityError,
     MaxStepsExceededError,
 )
 from lplc.odeint import IntegratorConfig, shell_edges
@@ -617,13 +618,13 @@ class TestMirrorRule:
     @pytest.mark.parametrize(
         "q, a, b, anchors",
         [
-            (Coulomb(1.0), -math.inf, math.inf, None),  # odd
+            (PowerLaw(1.0, 1.0), -math.inf, math.inf, None),  # odd
             (Tabulated([-2.0, -1.0, 0.0, 1.0, 2.0], [4.0, 1.0, 0.0, 1.0, 4.0]), -2.0, 2.0, None),
-            (Sum([Harmonic(1.0), Coulomb(1.0)]), -math.inf, math.inf, None),
+            (Sum([Harmonic(1.0), PowerLaw(1.0, 1.0)]), -math.inf, math.inf, None),
             (Harmonic(1.0), -math.inf, math.inf, (-1.0, 2.0)),  # anchors not mirrored
             (Harmonic(1.0), -1.0, 2.0, None),  # interval not symmetric
         ],
-        ids=["coulomb", "symmetric-table", "sum-with-odd-term", "unmirrored-anchors", "asymmetric-interval"],
+        ids=["odd-linear", "symmetric-table", "sum-with-odd-term", "unmirrored-anchors", "asymmetric-interval"],
     )
     def test_both_ends_marched_otherwise(self, q, a, b, anchors, monkeypatch):
         calls = count_marched_shells(monkeypatch)
@@ -635,6 +636,35 @@ class TestMirrorRule:
         # the left end is marched first, so its error is the one raised
         with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 .* at x=-\d"):
             classify_interval(Harmonic(1.0), -math.inf, math.inf, cfg=IntegratorConfig(max_steps=1000))
+
+
+class TestInteriorSingularPoint:
+    # where q does not evaluate at an interior 0 the operator splits there,
+    # and the interval is refused before any march
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [
+            (InverseSquare(0.5), -math.inf, math.inf),
+            (Coulomb(-1.0), -3.0, 7.0),
+            (PowerLaw(1.0, -3.0), -3.0, 3.0),
+            (InverseSquare(0.5), -3.0, math.inf),
+            (InverseSquare(0.5), -0.9, 1.3),
+            (InverseSquare(0.0), -1.0, 1.0),  # the zero-coefficient forms do not evaluate at 0 either
+            (Sum([Harmonic(1.0), Coulomb(1.0)]), -math.inf, math.inf),
+        ],
+    )
+    def test_interval_around_a_singular_zero_is_refused(self, q, a, b, monkeypatch):
+        calls = count_marched_shells(monkeypatch)
+        with pytest.raises(InteriorSingularityError, match=re.escape(f"q is singular at 0, inside ({a!r}, {b!r})")):
+            classify_interval(q, a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [(Harmonic(1.0), -1.0, 1.0), (PowerLaw(1.0, 1.0), -math.inf, math.inf), (InverseSquare(0.5), 0.0, 1.0)],
+    )
+    def test_regular_zero_or_zero_at_an_end_is_classified(self, q, a, b):
+        assert classify_interval(q, a, b).indices is not None
 
 
 class TestAnchorRule:
@@ -678,10 +708,11 @@ class TestAnchorRule:
     @pytest.mark.parametrize("q", [Zero(), InverseSquare(0.5), Coulomb(-1.0), Harmonic(1.0)], ids=lambda q: q.dumps())
     @pytest.mark.parametrize("b", [40.0, 1000.0])
     def test_each_end_is_marched_as_on_a_half_line(self, q, b):
-        # Weyl's alternative is local: neither verdict reads the far end
+        # Weyl's alternative is local: neither verdict reads the far end,
+        # each is the march of its own half line, (0, inf) or (-inf, b)
         report = classify_interval(q, 0.0, b, engine="numeric")
         left = classify_numeric(q, ORIGIN, 1.0, CFG)
-        right = classify_interval(q, -math.inf, b, engine="numeric").right
+        right = classify_numeric(q, Endpoint(b, "right"), b - 1.0, CFG)
         assert tail_bits(report.left) == tail_bits(left)
         assert tail_bits(report.right) == tail_bits(right)
 

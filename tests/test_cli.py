@@ -219,6 +219,24 @@ class TestClassifyCommand:
         assert (code, err) == (0, "")
         assert [e["verdict"] for e in json.loads(out)["endpoints"]] == ["LC", "LC"]
 
+    @pytest.mark.parametrize(
+        "potential, a, b",
+        [
+            ({"type": "inverse_square", "c": 0.5}, "-inf", "inf"),
+            ({"type": "coulomb", "z": -1.0}, -3, 7),
+            ({"type": "power_law", "c": 1.0, "p": -3.0}, -3, 3),
+            ({"type": "inverse_square", "c": 0.5}, -3, "inf"),
+            ({"type": "inverse_square", "c": 0.5}, -0.9, 1.3),
+        ],
+        ids=["inverse-square-line", "coulomb", "power-law", "inverse-square-half-open", "inverse-square-short"],
+    )
+    def test_interior_singular_point_is_refused(self, capsys, tmp_path, potential, a, b):
+        # the operator splits at 0; the pieces' indices are not composed yet
+        spec = {"interval": {"a": a, "b": b}, "potential": potential}
+        code, out, err = run(capsys, ["classify", "--input", write_spec(tmp_path, spec)])
+        assert (code, out) == (1, "")
+        assert err.startswith("lplc: error: q is singular at 0, inside (") and err.count("\n") == 1
+
     HUGE = {"interval": {"a": 2.0**53, "b": 2.0**53 + 8.0}, "potential": {"type": "zero"}, "engine": "numeric"}
 
     def test_default_anchor_rounding_onto_its_end_is_named(self, capsys, tmp_path):
