@@ -133,11 +133,11 @@ class TestStepIntegral:
 
     Y0, DY0 = 1.0, 0.5 - 0.3j
 
-    def fine_log_integral(self, q, x0, h, n=2000):
+    def fine_log_integral(self, q, dy0, x0, h, n=2000):
         """log of the integral of |y|^2 over [x0, x0 + h], by RK4 and Simpson's rule on n pieces."""
         f = lambda x, y: (q._raw(x) - 1j) * y
         dx = h / n
-        y, dy = complex(self.Y0), complex(self.DY0)
+        y, dy = complex(self.Y0), complex(dy0)
         squares = [abs(y) ** 2]
         for k in range(n):
             x = x0 + k * dx
@@ -151,22 +151,33 @@ class TestStepIntegral:
         simpson = dx / 3.0 * (squares[0] + squares[-1] + 4.0 * sum(squares[1:-1:2]) + 2.0 * sum(squares[2:-1:2]))
         return math.log(simpson)
 
-    def one_step_log_integral(self, q, x0, h):
+    def one_step_log_integral(self, q, dy0, x0, h):
         stepper = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1.0, abs_tol=1.0))
         stepper.h = 2.0 * h
-        log_integral = stepper.advance(x0, x0 + h, [(self.Y0, self.DY0, 0.0)])[0][3]
+        log_integral = stepper.advance(x0, x0 + h, [(self.Y0, dy0, 0.0)])[0][3]
         assert stepper.steps == 1
         return log_integral
 
-    @pytest.mark.parametrize("q", [PowerLaw(1.0, 1.0), PowerLaw(-3.0, 1.0), Harmonic(1.0), Harmonic(-5.0)])
-    def test_one_step_matches_a_fine_quadrature(self, q):
+    @pytest.mark.parametrize(
+        "q, dy0",
+        [
+            (PowerLaw(1.0, 1.0), DY0),
+            (PowerLaw(-3.0, 1.0), DY0),
+            (Harmonic(1.0), DY0),
+            (Harmonic(-5.0), DY0),
+            # a steep q and a large y': the term g1 Re(g0 w conj(y)) / 1260 matters
+            (PowerLaw(-5.0, 1.0), 3.0),
+        ],
+        ids=["q0", "q1", "q2", "q3", "steep-q-large-dy"],
+    )
+    def test_one_step_matches_a_fine_quadrature(self, q, dy0):
         # for linear and quadratic q the three nodes interpolate q exactly;
         # the defect terms run to the sixth power of h, so the relative
         # error of the step integral falls about 2^7 times per halving
         # (2^5 for the frozen solution alone, and a tenth off in one of
-        # the coefficients 1/180, 1/1080, 1/756, 17/3780 or r0 g2 / 1260
+        # the coefficients 1/180, 1/1080, 1/756, 17/3780 or either 1/1260
         # moves the ratio out of this range)
-        errors = [self.one_step_log_integral(q, 1.0, h) - self.fine_log_integral(q, 1.0, h) for h in (0.1, 0.05)]
+        errors = [self.one_step_log_integral(q, dy0, 1.0, h) - self.fine_log_integral(q, dy0, 1.0, h) for h in (0.1, 0.05)]
         assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
 
     @pytest.mark.parametrize(
