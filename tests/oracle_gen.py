@@ -11,9 +11,15 @@ log I_k), as decimal strings of 25 significant digits.
 * q = c / x^2 toward 0 from 0.5, for c = 0.7 and c = 2: sqrt(x) J_nu(k x)
   and sqrt(x) Y_nu(k x) with k = sqrt(i) and nu = sqrt(c + 1/4), since
   u = sqrt(x) Z_nu(k x) solves u'' = ((nu^2 - 1/4) / x^2 - k^2) u.
+* a table of 45 knots, q linear between them, toward its right end 5.5
+  from the knot 0.5: on each piece q = q0 + s (x - x0), Ai(z) and Bi(z)
+  with z = c (x - x0) + (q0 - i) / c^2 and c^3 = s, joined at every knot
+  with y and y' continuous. A shell that crosses knots is integrated
+  piece by piece.
 
 The script imports nothing from lplc and needs only mpmath (1.3.0 was
-used), which computes at 30 digits; it makes no network access. Rerun it
+used), which computes at 30 digits, and the table at 60; it makes no
+network access. Rerun it
 from the root of the repository with
 
     python tests/oracle_gen.py
@@ -52,6 +58,43 @@ def bessel_pair(c):
     return column(mp.besselj), column(mp.bessely)
 
 
+def table_pieces(xs, qs, anchor):
+    """(lo, hi, y) per linear piece from the knot `anchor` to the last knot, for data (1, 0) at the anchor.
+
+    On a nearly flat piece Ai and Bi are each far larger than y and cancel,
+    so the pieces are joined twice, at the working precision and at 20
+    digits more, and the script stops unless y at the last knot agrees to
+    1e-25 relative.
+    """
+
+    def join():
+        y0, dy0 = mp.mpf(1), mp.mpf(0)
+        pieces = []
+        for j in range(xs.index(anchor), len(xs) - 1):
+            lo, hi = mp.mpf(xs[j]), mp.mpf(xs[j + 1])
+            slope = (mp.mpf(qs[j + 1]) - qs[j]) / (hi - lo)
+            if slope == 0:
+                raise SystemExit(f"piece [{lo}, {hi}] is flat, which the Airy pair does not cover")
+            c = mp.sign(slope) * mp.cbrt(abs(slope))
+            z0 = (qs[j] - I) / c**2
+            # Ai Bi' - Ai' Bi = 1 / pi fixes the combination with data (y0, dy0) at lo
+            a = mp.pi * (y0 * mp.airybi(z0, derivative=1) - dy0 / c * mp.airybi(z0))
+            b = mp.pi * (dy0 / c * mp.airyai(z0) - y0 * mp.airyai(z0, derivative=1))
+            z = lambda x, lo=lo, c=c, z0=z0: c * (x - lo) + z0
+            y = lambda x, a=a, b=b, z=z: a * mp.airyai(z(x)) + b * mp.airybi(z(x))
+            dy = lambda x, a=a, b=b, z=z, c=c: c * (a * mp.airyai(z(x), derivative=1) + b * mp.airybi(z(x), derivative=1))
+            pieces.append((lo, hi, y))
+            y0, dy0 = y(hi), dy(hi)
+        return pieces, y0
+
+    pieces, end = join()
+    with mp.workdps(mp.mp.dps + 20):
+        _, finer = join()
+    if abs(end - finer) > mp.mpf("1e-25") * abs(finer):
+        raise SystemExit(f"the joined pieces lost precision: y at the last knot is {end}, or {finer} at 20 digits more")
+    return pieces
+
+
 def anchored(pair, x0):
     """The combination of the pair with value 1 and derivative 0 at x0."""
     (u1, du1), (u2, du2) = pair
@@ -67,19 +110,24 @@ def shell_integral(y, lo, hi, pieces):
     return mp.quad(lambda x: abs(y(x)) ** 2, points)
 
 
-def log_shells(y, edges):
+def log_shells(pieces, edges, splits):
+    """Log shell integrals of a solution given as (lo, hi, y) pieces, summed over the pieces each shell meets.
+
+    Each part is integrated over splits[0] and over splits[1] equal pieces.
+    """
     logs = []
     for x0, x1 in zip(edges, edges[1:]):
         lo, hi = min(x0, x1), max(x0, x1)
-        coarse, fine = shell_integral(y, lo, hi, 8), shell_integral(y, lo, hi, 16)
+        parts = [(max(lo, a), min(hi, b), y) for a, b, y in pieces if a < hi and b > lo]
+        coarse, fine = (sum(shell_integral(y, a, b, n) for a, b, y in parts) for n in splits)
         if abs(coarse - fine) > mp.mpf("1e-20") * fine:
             raise SystemExit(f"quadrature did not settle on [{lo}, {hi}]: {coarse} vs {fine}")
         logs.append(mp.log(fine))
     return logs
 
 
-def write(name, potential, endpoint, anchor, edges, pair):
-    logs = log_shells(anchored(pair, anchor), edges)
+def write(name, potential, endpoint, anchor, edges, pieces, splits=(8, 16)):
+    logs = log_shells(pieces, edges, splits)
     text = lambda v: mp.nstr(v, 25, min_fixed=-mp.inf, max_fixed=mp.inf)
     record = {
         "potential": potential,
@@ -98,11 +146,20 @@ def write(name, potential, endpoint, anchor, edges, pair):
 def main():
     # the engine's shells toward +inf from 1 double outward; toward 0 from
     # 0.5 the distance to 0 halves, 12 shells at the default max_shells
+    whole = lambda pair, anchor: [(-mp.inf, mp.inf, anchored(pair, anchor))]
     write("airy_plus_inf", {"type": "power_law", "c": 1.0, "p": 1.0}, "inf", 1.0,
-          [2.0**k for k in range(5)], airy_pair())
+          [2.0**k for k in range(5)], whole(airy_pair(), 1.0))
     for c in (0.7, 2.0):
         write(f"inverse_square_{c}_origin", {"type": "inverse_square", "c": c}, 0.0, 0.5,
-              [0.5 * 2.0**-k for k in range(13)], bessel_pair(c))
+              [0.5 * 2.0**-k for k in range(13)], whole(bessel_pair(c), 0.5))
+    # knots k / 8 on [0, 5.5]; the shells from 0.5 toward 5.5 are 5.5 - 5 * 2^-k,
+    # exact floats; 36 knots lie inside a shell, and each part of a shell
+    # within one piece is at most 1/8 long
+    xs = [k / 8 for k in range(45)]
+    qs = [float(mp.sin(3 * x) + mp.cos(7 * x) / 2) for x in xs]
+    with mp.workdps(60):
+        write("table_45_knots_right_end", {"type": "tabulated", "x": xs, "q": qs}, 5.5, 0.5,
+              [5.5 - 5.0 * 2.0**-k for k in range(13)], table_pieces(xs, qs, 0.5), splits=(2, 4))
 
 
 if __name__ == "__main__":
