@@ -672,13 +672,6 @@ class TestInteriorSingularPoint:
             classify_interval(q, a, b)
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "q, a, b",
-        [(Harmonic(1.0), -1.0, 1.0), (PowerLaw(1.0, 1.0), -math.inf, math.inf), (InverseSquare(0.5), 0.0, 1.0)],
-    )
-    def test_regular_zero_or_zero_at_an_end_is_classified(self, q, a, b):
-        assert classify_interval(q, a, b).indices is not None
-
 
 class TestAnchorRule:
     # each finite end is marched from one unit inside it, each infinite end
