@@ -19,8 +19,7 @@ log I_k), as decimal strings of 25 significant digits.
 
 The script imports nothing from lplc and needs only mpmath (1.3.0 was
 used), which computes at 30 digits, and the table at 60; it makes no
-network access. Rerun it
-from the root of the repository with
+network access. Rerun it from the root of the repository with
 
     python tests/oracle_gen.py
 
