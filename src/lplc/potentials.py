@@ -77,12 +77,12 @@ class Zero(Potential):
 
 @dataclass(frozen=True)
 class InverseSquare(Potential):
-    """q(x) = c / x^2."""
+    """q(x) = c / x^2, and 0 everywhere, 0 included, for c = 0."""
 
     c: float
 
     def _raw(self, x: float) -> float:
-        return self.c / (x * x)
+        return self.c / (x * x) if self.c else 0.0
 
     def is_even(self) -> bool:
         return True
@@ -96,12 +96,12 @@ class InverseSquare(Potential):
 
 @dataclass(frozen=True)
 class Coulomb(Potential):
-    """q(x) = z / x."""
+    """q(x) = z / x, and 0 everywhere, 0 included, for z = 0."""
 
     z: float
 
     def _raw(self, x: float) -> float:
-        return self.z / x
+        return self.z / x if self.z else 0.0
 
     def origin_coefficient(self) -> Optional[float]:
         return 0.0
@@ -112,13 +112,13 @@ class Coulomb(Potential):
 
 @dataclass(frozen=True)
 class PowerLaw(Potential):
-    """q(x) = c * x^p."""
+    """q(x) = c * x^p, and 0 everywhere, 0 included, for c = 0."""
 
     c: float
     p: float
 
     def _raw(self, x: float) -> float:
-        return self.c * math.pow(x, self.p)
+        return self.c * math.pow(x, self.p) if self.c else 0.0
 
     def is_even(self) -> bool:
         # pow(-x, p) is pow(x, p) exactly for an even integer p

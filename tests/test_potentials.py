@@ -130,6 +130,12 @@ class TestEvaluate:
         with pytest.raises(NonFiniteError):
             evaluate(PowerLaw(1.0, 0.5), -1.0)
 
+    @pytest.mark.parametrize("q", [InverseSquare(0.0), Coulomb(0.0), PowerLaw(0.0, -3.0), PowerLaw(0.0, 0.5)], ids=repr)
+    def test_zero_coefficient_forms_are_zero_everywhere(self, q):
+        # 0 included, and x < 0 for a fractional power
+        for x in (0.0, -0.0, 1e-300, -2.5, 7.0):
+            assert math.copysign(1.0, evaluate(q, x)) == 1.0 and evaluate(q, x) == 0.0
+
 
 class TestInvariants:
     def test_tabulated_needs_four_points(self):
