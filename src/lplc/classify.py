@@ -16,7 +16,11 @@ provided.
   integrability; geometric growth certifies its failure; shell ratios
   inside a guard band around 1 are reported as inconclusive rather than
   force-classified, because the borderline |y|^2 ~ 1/x case is
-  genuinely log-divergent. band_status reads that one tail.
+  genuinely log-divergent. band_status reads that one tail. At a finite
+  endpoint where q does not evaluate, the march steps in the Euler frame
+  t = -ln |x - endpoint| (see odeint), where each shell is a t-interval
+  of length ln 2 and an inverse-square q costs no more per shell near
+  the end than far from it.
 
 One solution decides the class (Weyl's alternative). At a non-real
 eigenvalue every solution is square-integrable near a limit-circle end.
@@ -331,8 +335,9 @@ def classify_numeric(
     # March the solution shell by shell: shell k runs from edges[k] to
     # edges[k + 1], and its log integral of |y|^2 is the one the
     # integrator accumulated inside its steps. One stepper per endpoint:
-    # its step budget covers the whole march.
-    stepper = _Stepper(q, eigenvalue, cfg)
+    # its step budget covers the whole march, and it marches in the Euler
+    # frame when q does not evaluate at a finite endpoint.
+    stepper = _Stepper(q, eigenvalue, cfg, endpoint.position)
     state = ComplexState(1.0, 0.0)
     logs: List[float] = []
     for k in range(n_shells):

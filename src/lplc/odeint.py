@@ -44,6 +44,26 @@ returns one log integral per recording interval, in a trace of plain
 tuples, so integration and every classify run load no numpy: only the
 functions that compute on whole arrays import it.
 
+The frame rule: a stepper built toward a finite end e where q does not
+evaluate (evaluate raises NonFiniteError) steps in Langer's Euler frame,
+and every other stepper steps in x. With d = |x - e| and t = -ln d, the
+function w = d^(-1/2) y solves w'' = f(t) w with the complex coefficient
+f = 1/4 + d^2 (q - l), where d^2 q is taken as (d q) d so that it stays
+finite wherever q does (Langer, Phys. Rev. 51 (1937); Olver, Asymptotics
+and Special Functions, ch. 6). An inverse-square term of q is a constant
+of f, on which a Magnus step is exact, so toward such an end the steps
+no longer shrink with d, and each dyadic shell is a t-interval of length
+ln 2. advance keeps its interface in x: it maps each state to
+(w, w_t) = (y, y / 2 - d dy/dd) in the log scale at x0, with d^(-1/2) put
+into log_scale, and back at x1. The integral of |y|^2 |dx| is that of
+d^2 |w|^2 dt, so a step of length h in t integrates e^(-2 h s) |w|^2 over
+its unit variable s: the frozen solution's weighted closed form, and
+defect terms carried to the same order for complex g1 and g2 and the
+weight. A step in t is at most 1 long, which keeps the weight inside
+those series, and the bound on |h^2 f| where f varies is 1 there, not
+1/4, since what varies is mostly the fading d^2 l. At ends at +-infinity, where l x^2 makes f grow, and at regular
+ends, where a constant q is already exact in x, the x frame stays.
+
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
 to cfg.x_min, and toward an infinite target |x| doubles once per shell,
@@ -94,6 +114,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_GROWTH = 300.0  # a step may grow the solution by at most e^300, far inside float range
 _MAX_G0 = 0.25  # bound on |h^2 (q - l)| for a step on which q varies
+_MAX_EULER_STEP = 1.0  # bound on a step in t, so the weight e^(-2 h s) stays inside its series
+_MAX_EULER_G0 = 1.0  # bound on |h^2 f| for a step in t, where f varies mostly by the fading d^2 l
 _RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is rescaled
 # Taylor coefficients of p(x) = (sinh(2r) / (2r) - 1) / x and of
 # g(x) = ((cosh(2r) - 1) / (4x) - 1 / 2) / x, for x = r^2
@@ -187,24 +209,37 @@ def _normalized(y: complex, dy: complex, log_scale: float) -> Tuple[complex, com
 class _Stepper:
     """Magnus 6(4) pair on three Gauss nodes, with step-size control, for y'' = (q - l) y.
 
-    Its one entry, advance(), moves a list of states on one step sequence.
+    Its one entry, advance(), moves a list of states on one step sequence,
+    in x or, toward a finite `toward` where q does not evaluate, in the
+    Euler frame t = -ln |x - toward| (see the module docstring).
     It persists across consecutive advance() calls: the step size and the
     count of attempted steps, which cfg.max_steps bounds over the
     stepper's whole life. Every step ends at or before the next
     breakpoint of q. Besides the error estimate, two bounds shorten a
     step: it grows the solution by at most e^_MAX_GROWTH, and where q
-    varies on it, |h^2 (q - l)| <= _MAX_G0. Each attempt evaluates q
-    three times, at interior nodes only; the one other evaluation, at
-    the start, sizes the first step.
+    varies on it, |h^2 (q - l)| <= _MAX_G0 (in t, |h^2 f| <= _MAX_EULER_G0
+    and h <= _MAX_EULER_STEP). Each attempt evaluates q three times, at
+    interior nodes only; of the two other evaluations, one at a finite
+    `toward` chooses the frame and one at the start sizes the first step.
     """
 
-    def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig):
+    def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig, toward: Optional[float] = None):
         self.q = q
         self.l = l
         self.cfg = cfg
         self.steps = 0
-        self.h = 0.0  # unsigned, carried across segments
+        self.h = 0.0  # unsigned, carried across segments, in the frame's variable
         self.breaks = q.breakpoints()
+        # a finite `toward` where q does not evaluate is the end the Euler
+        # frame is centred on, x = end + side * d, with side set per advance
+        self.end = None
+        self.side = 1.0
+        if toward is not None and math.isfinite(toward):
+            try:
+                evaluate(q, toward)
+            except NonFiniteError:
+                self.end = toward
+        self.h_max, self.g0_max = (math.inf, _MAX_G0) if self.end is None else (_MAX_EULER_STEP, _MAX_EULER_G0)
 
     def advance(self, x0: float, x1: float, states):
         """Integrate each state (y, dy, log_scale) of the list from x0 to x1 (either direction).
@@ -212,10 +247,12 @@ class _Stepper:
         All states share one step sequence. Returns one (y, dy, log_scale,
         log_integral) per state: the state is rescaled into the band, and
         log_integral is the log of the integral of |true y|^2 |dx| from x0
-        to x1.
+        to x1. In the Euler frame the states are mapped to (w, w_t) at x0
+        and back at x1, and the steps run in t.
         """
         cfg = self.cfg
-        q, l = self.q, self.l
+        q, l, end = self.q, self.l, self.end
+        h_max, g0_max = self.h_max, self.g0_max
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
         band, inv_band = _RESCALE_BAND, 1.0 / _RESCALE_BAND
         sign = 1.0 if x1 > x0 else -1.0
@@ -230,35 +267,57 @@ class _Stepper:
         ys, dys, scales = (list(c) for c in zip(*states))
         n = len(ys)
         # Integral of |y|^2 since the last rescale, in the current scale,
-        # and the log of everything before that, per column.
+        # and the log of everything before that, per column; in the Euler
+        # frame the running integral is weighted against d^2 at t = refs[i].
         totals = [0.0] * n
         logs = [-math.inf] * n
+        refs = [0.0] * n
+        u = x0  # the frame's variable: x, or t = -ln d
+        if end is not None:
+            if x1 == end or (x0 > end) != (x1 > end):
+                raise ValueError(f"[{x0}, {x1}] must lie on one side of the end {end}")
+            self.side = 1.0 if x0 > end else -1.0
+            d0 = abs(x0 - end)
+            u = -math.log(d0)
+            stops = [-math.log(abs(b - end)) for b in stops]
+            sign = 1.0 if stops[-1] > u else -1.0
+            for i in range(n):
+                # w = d^(-1/2) y and w_t = w / 2 - d^(1/2) dy/dd, with d^(-1/2) in the log scale
+                ys[i], dys[i], scales[i] = _normalized(ys[i], 0.5 * ys[i] - self.side * d0 * dys[i], scales[i] + 0.5 * u)
+            refs = [u] * n
+            coefficient = self._euler_coefficient
         if self.h == 0.0:
             # 1 % of each state's scale over its rate of change
-            p0 = evaluate(q, x0) - l
+            p0 = evaluate(q, x0) - l if end is None else coefficient(u)
             rates = [(abs(y) + abs(dy), abs(dy) + abs(p0 * y)) for y, dy in zip(ys, dys)]
-            self.h = min([abs(x1 - x0)] + [0.01 * size / rate for size, rate in rates if rate > 0.0])
-        x = x0
+            self.h = min([abs(stops[-1] - u)] + [0.01 * size / rate for size, rate in rates if rate > 0.0])
         target = stops.pop(0)
         while True:
-            remaining = abs(target - x)
+            remaining = abs(target - u)
             h = min(self.h, remaining)
             final = h >= remaining * (1.0 - 1e-12)
             if final:
                 h = remaining
-            if h < 16.0 * _EPS * abs(x) and not final:
-                raise StepUnderflowError(f"step {h} at x={x} is below machine spacing")
+            if h < 16.0 * _EPS * abs(u) and not final:
+                raise StepUnderflowError(f"step {h} at x={self._x_at(u)} is below machine spacing")
             self.steps += 1
             if self.steps > cfg.max_steps:
                 raise MaxStepsExceededError(
-                    f"step budget of {cfg.max_steps} attempted steps exhausted at x={x!r}"
+                    f"step budget of {cfg.max_steps} attempted steps exhausted at x={self._x_at(u)!r}"
                 )
             hs = sign * h
-            q1 = evaluate(q, x + _NODE1 * hs)
-            q2 = evaluate(q, x + 0.5 * hs)
-            q3 = evaluate(q, x + _NODE3 * hs)
-            # q through the nodes is p2 + e1 t + e2 t^2 at s = 1/2 + t, with p2 = q2 - l
-            p2 = q2 - l
+            # the coefficient through the nodes, q - l in x or f in t, is
+            # p2 + e1 t + e2 t^2 at s = 1/2 + t
+            if end is None:
+                q1 = evaluate(q, u + _NODE1 * hs)
+                q2 = evaluate(q, u + 0.5 * hs)
+                q3 = evaluate(q, u + _NODE3 * hs)
+                p2 = q2 - l
+            else:
+                q1 = coefficient(u + _NODE1 * hs)
+                q2 = coefficient(u + 0.5 * hs)
+                q3 = coefficient(u + _NODE3 * hs)
+                p2 = q2
             h2 = hs * hs
             e1 = _K * (q3 - q1)
             e2 = (10.0 / 3.0) * (q3 - 2.0 * q2 + q1)
@@ -275,9 +334,10 @@ class _Stepper:
             if growth > _MAX_GROWTH:
                 self.h = h * 0.5 * _MAX_GROWTH / growth
                 continue
-            # where q varies, |h^2 (q - l)| <= _MAX_G0 keeps the defect
-            # terms of the step integral inside the range of their series
-            h_cap = math.sqrt(_MAX_G0 / abs(p2)) if (e1 or e2) and p2 else math.inf
+            # where the coefficient varies, |h^2 p2| <= g0_max keeps the
+            # defect terms of the step integral inside the range of their
+            # series; in t, h <= _MAX_EULER_STEP keeps the weight's there too
+            h_cap = min(h_max, math.sqrt(g0_max / abs(p2))) if (e1 or e2) and p2 else h_max
             if h > h_cap:
                 self.h = _SAFETY * h_cap
                 continue
@@ -298,21 +358,29 @@ class _Stepper:
                 new.append((y6, d6, v))
             err = math.sqrt(0.5 * err)
             if not math.isfinite(err):
-                raise NonFiniteError(f"integration blew up near x={x}")
+                raise NonFiniteError(f"integration blew up near x={self._x_at(u)}")
             if err > 1.0:
                 self.h = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
                 continue
-            x = target if final else x + hs
+            start = u
+            u = target if final else u + hs
             g0, g1, g2 = h2 * p2, h2 * e1, h2 * e2
             for i, (y6, d6, v) in enumerate(new):
                 y = ys[i]
-                totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
+                if end is None:
+                    totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
+                else:
+                    # |y|^2 |dx| = d^2 |w|^2 dt, and d^2 falls as e^(-2 hs s) across the step
+                    weight = h * math.exp(2.0 * (refs[i] - start))
+                    totals[i] += weight * (_weighted_square_integral(mu, -2.0 * hs, y, v) + _weighted_defect(g0, g1, g2, -2.0 * hs, y, hs * dys[i]))
                 s = abs(y6) + abs(d6)
                 if s == 0.0 or not math.isfinite(s):
-                    raise NonFiniteError(f"solution state degenerate at x={x}")
+                    raise NonFiniteError(f"solution state degenerate at x={self._x_at(u)}")
                 if s > band or s < inv_band:
-                    logs[i] = _fold(logs[i], totals[i], scales[i])
+                    logs[i] = _fold(logs[i], totals[i], scales[i] - refs[i])
                     totals[i] = 0.0
+                    if end is not None:
+                        refs[i] = u
                     y6 /= s
                     d6 /= s
                     scales[i] += math.log(s)
@@ -322,8 +390,22 @@ class _Stepper:
             self.h = max(self.h, grown) if final else grown
             if final:
                 if not stops:
-                    return [(ys[i], dys[i], scales[i], _fold(logs[i], totals[i], scales[i])) for i in range(n)]
+                    out = [(ys[i], dys[i], scales[i], _fold(logs[i], totals[i], scales[i] - refs[i])) for i in range(n)]
+                    if end is None:
+                        return out
+                    # y = d^(1/2) w and dy/dd = d^(-1/2) (w / 2 - w_t), with d^(-1/2) in the log scale
+                    d1 = abs(x1 - end)
+                    return [(*_normalized(d1 * w, self.side * (0.5 * w - wt), scale + 0.5 * u), log) for w, wt, scale, log in out]
                 target = stops.pop(0)
+
+    def _euler_coefficient(self, t: float) -> complex:
+        """f = 1/4 + d^2 (q - l) at d = e^(-t), with d^2 q taken as (d q) d, finite wherever q is."""
+        d = math.exp(-t)
+        return 0.25 + (d * evaluate(self.q, self.end + self.side * d)) * d - self.l * (d * d)
+
+    def _x_at(self, u: float) -> float:
+        """The abscissa at the frame's variable u."""
+        return u if self.end is None else self.end + self.side * math.exp(-u)
 
 
 def _frozen_defect(g0: complex, g1: float, g2: float, y: complex, w: complex) -> float:
@@ -387,6 +469,98 @@ def _unit_square_integral(mu: complex, y: complex, v: complex) -> float:
         kss = 0.5 * (sh - sn) / m2
         cross = complex(sh_r * sh_r / r if r else 0.0, -(sn_t * sn_t / t if t else 0.0)) / (2.0 * mu.conjugate())
     return abs(y) ** 2 * kcc + abs(v) ** 2 * kss + 2.0 * (y * v.conjugate() * cross).real
+
+
+def _weighted_square_integral(mu: complex, k: float, y: complex, v: complex) -> float:
+    """Integral over s in [0, 1] of e^(k s) |y cosh(mu s) + v sinh(mu s) / mu|^2.
+
+    With mu = r + i t, |cosh|^2, |sinh / mu|^2 and cosh conj(sinh / mu)
+    are (C + c) / 2, (C - c) / (2 |mu|^2) and (S - i s) / (2 conj(mu)),
+    where C, S, c and s are cosh(2rs), sinh(2rs), cos(2ts) and sin(2ts).
+    Against the weight they integrate through E(z) = (e^z - 1) / z at
+    z = k + 2r, k - 2r and k + 2it. C - c cancels there, to a relative
+    error of about eps / |mu|^2, at most 2e-12, far below any step's
+    tolerance; for |mu|^2 < 1/2048 they are summed instead as power series
+    in r^2 and t^2, whose coefficients are the moments of the weight.
+    """
+    r, t = mu.real, mu.imag
+    x, w = r * r, t * t
+    mu2 = x + w
+    if mu2 < 0.00048828125:
+        # the moments M_j of the weight, integrals of s^j e^(k s): the
+        # series M_7 = e^k 7! sum_m (-k)^m / (8 + m)! converges fast, and
+        # M_(j-1) = (e^k - k M_j) / j downward shrinks its error by |k| / j
+        ek = math.exp(k)
+        term = m7 = ek / 8.0
+        tol = 1e-17 * term
+        j = 8
+        while abs(term) > tol:
+            j += 1
+            term *= -k / j
+            m7 += term
+        m6 = (ek - k * m7) / 7.0
+        m5 = (ek - k * m6) / 6.0
+        m4 = (ek - k * m5) / 5.0
+        m3 = (ek - k * m4) / 4.0
+        m2 = (ek - k * m3) / 3.0
+        m1 = (ek - k * m2) / 2.0
+        m0 = ek - k * m1
+        # the coefficients 4^n / (2n)! and 4^n / (2n + 1)! times the moments
+        c1, c2, c3 = 2.0 * m2, m4 * (2.0 / 3.0), m6 * (4.0 / 45.0)
+        s1, s2, s3 = m3 * (2.0 / 3.0), m5 * (2.0 / 15.0), m7 * (4.0 / 315.0)
+        xp = x * (c1 + x * (c2 + x * c3))
+        wp = w * (c1 - w * (c2 - w * c3))
+        kcc = m0 + 0.5 * (xp - wp)
+        if mu2 == 0.0:
+            return abs(y) ** 2 * kcc + abs(v) ** 2 * m2 + 2.0 * m1 * (y * v.conjugate()).real
+        kss = 0.5 * (xp + wp) / mu2
+        ox = x * (s1 + x * (s2 + x * s3))
+        ow = w * (s1 - w * (s2 - w * s3))
+        cross = m1 + complex(r * ox, t * ow) / mu.conjugate()
+    else:
+        ep, em = _phi(k + 2.0 * r), _phi(k - 2.0 * r)
+        # E(k + 2it), with e^(k + 2it) - 1 = expm1(k) - 2 e^k sin(t)^2 + 2i e^k sin(t) cos(t)
+        em1, sn = math.expm1(k), math.sin(t)
+        ek = 1.0 + em1
+        ec = complex(em1 - 2.0 * ek * sn * sn, 2.0 * ek * sn * math.cos(t)) / complex(k, 2.0 * t) if k or t else 1.0
+        kcc = 0.25 * (ep + em) + 0.5 * ec.real
+        kss = (0.25 * (ep + em) - 0.5 * ec.real) / mu2
+        cross = complex(0.5 * (ep - em), -ec.imag) / (2.0 * mu.conjugate())
+    return abs(y) ** 2 * kcc + abs(v) ** 2 * kss + 2.0 * (y * v.conjugate() * cross).real
+
+
+def _phi(z: float) -> float:
+    """(e^z - 1) / z, the integral of e^(z s) over s in [0, 1]."""
+    return math.expm1(z) / z if z else 1.0
+
+
+def _weighted_defect(g0: complex, g1: complex, g2: complex, k: float, y: complex, w: complex) -> float:
+    """Leading terms of the integral of e^(k s) |y|^2 over the unit step, true solution minus frozen one.
+
+    _frozen_defect for a complex coefficient g = g0 + g1 (s - 1/2) +
+    g2 (s - 1/2)^2 and the weight e^(k s): the terms up to the sixth
+    power of the step length, with k counted as its first power, in the
+    real and imaginary parts a + i b, p + i q and r + i s of g0, g1, g2.
+    """
+    a, b = g0.real, g0.imag
+    p, q = g1.real, g1.imag
+    r, s = g2.real, g2.imag
+    kk = k * k
+    on_yy = (
+        r * (1.0 / 180.0 + k / 360.0 + kk / 1260.0)
+        - p * (k / 360.0 + kk / 720.0 + kk * k / 2520.0)
+        + p * p / 1080.0
+        - q * q / 2520.0
+        + (a * r + b * s) / 1260.0
+        - a * p * (1.0 / 180.0 + k / 270.0)
+        + b * q * (1.0 / 360.0 + k / 756.0)
+    )
+    on_ww = r / 756.0 - p * (1.0 / 180.0 + k / 252.0)
+    # the coefficient of 2 Re(w conj(y))
+    re = r * (1.0 / 360.0 + k * 11.0 / 7560.0) - p * (1.0 / 180.0 + k / 240.0 + kk / 630.0 + a / 378.0) + q * b / 3780.0
+    im = p * b / 540.0 - k * s / 7560.0 - q * (1.0 / 360.0 + k / 720.0 + kk / 2520.0 - a / 3780.0)
+    wy = w * y.conjugate()
+    return on_yy * abs(y) ** 2 + on_ww * abs(w) ** 2 + 2.0 * (re * wy.real - im * wy.imag)
 
 
 def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:

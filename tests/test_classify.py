@@ -599,6 +599,67 @@ def count_marched_shells(monkeypatch):
     return calls
 
 
+def count_attempted_steps(monkeypatch):
+    """The steppers classify builds, whose .steps count the attempted steps."""
+    import lplc.classify
+    from lplc import odeint
+
+    steppers = []
+
+    class Counted(odeint._Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(self)
+
+    monkeypatch.setattr(lplc.classify, "_Stepper", Counted)
+    return steppers
+
+
+class TestEulerFrame:
+    # toward a finite end where q does not evaluate, the march steps in
+    # t = -ln d, where an inverse-square q is a constant of the coefficient
+
+    def test_inverse_square_end_at_zero_takes_few_steps(self, monkeypatch):
+        # the x-frame march took 354 attempted steps over these 12 shells
+        steppers = count_attempted_steps(monkeypatch)
+        report = classify_numeric(InverseSquare(2.0), ORIGIN, 0.5, CFG)
+        assert len(report.tail.log_shell_integrals) == 12 and report.verdict is LP
+        assert [s.end for s in steppers] == [0.0]
+        assert steppers[0].steps <= 150
+
+    def test_deep_march_toward_zero(self, monkeypatch):
+        # 490 shells down to d = 0.5 * 2^-490: in x the march raised
+        # NonFiniteError near x = 1.6e-78, where q = 0.5 / x^2 made e2 * p2
+        # overflow; in t the coefficient stays 1/4 + 0.5 - i d^2
+        steppers = count_attempted_steps(monkeypatch)
+        cfg = IntegratorConfig(x_min=1e-150)
+        report = classify_numeric(InverseSquare(0.5), ORIGIN, 0.5, cfg, max_shells=490)
+        nu = math.sqrt(0.75)
+        assert report.verdict is LC and len(report.tail.log_shell_integrals) == 490
+        assert abs(report.tail.fitted_ratio - 2.0 ** (2.0 * nu - 2.0)) < 1e-9
+        assert steppers[0].steps <= 1000
+
+    def test_right_end_at_zero_mirrors_the_left_one_bit_for_bit(self):
+        left = classify_interval(InverseSquare(2.0), 0.0, 1.0, engine="numeric").left
+        right = classify_interval(InverseSquare(2.0), -1.0, 0.0, engine="numeric").right
+        assert tail_bits(right) == tail_bits(left)
+
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [
+            (Harmonic(1.0), 0.0, 1.0),  # regular at 0
+            (Zero(), 0.0, 4.0),
+            (Coulomb(0.0), 0.0, 1.0),  # 0 everywhere, 0 included
+            (Harmonic(1.0), 0.0, math.inf),  # at infinity
+            (Coulomb(1.0), 1.0, math.inf),
+        ],
+    )
+    def test_regular_and_infinite_ends_keep_the_x_frame(self, q, a, b, monkeypatch):
+        steppers = count_attempted_steps(monkeypatch)
+        classify_interval(q, a, b, engine="numeric")
+        assert steppers and all(s.end is None for s in steppers)
+
+
 class TestMirrorRule:
     # an even q on (-b, b), marched from mirrored anchors: the right end
     # reuses the left end's verdict instead of marching again
@@ -662,7 +723,6 @@ class TestInteriorSingularPoint:
             (PowerLaw(1.0, -3.0), -3.0, 3.0),
             (InverseSquare(0.5), -3.0, math.inf),
             (InverseSquare(0.5), -0.9, 1.3),
-            (InverseSquare(0.0), -1.0, 1.0),  # the zero-coefficient forms do not evaluate at 0 either
             (Sum([Harmonic(1.0), Coulomb(1.0)]), -math.inf, math.inf),
         ],
     )
@@ -671,6 +731,17 @@ class TestInteriorSingularPoint:
         with pytest.raises(InteriorSingularityError, match=re.escape(f"q is singular at 0, inside ({a!r}, {b!r})")):
             classify_interval(q, a, b)
         assert calls == []
+
+    # the zero-coefficient forms are 0 everywhere, 0 included: q = 0 is
+    # regular at 0, and the free operator on a finite interval is LC at both ends
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [(InverseSquare(0.0), -1.0, 1.0), (Coulomb(0.0), -3.0, 7.0), (PowerLaw(0.0, -3.0), -3.0, 3.0)],
+        ids=["inverse-square", "coulomb", "power-law"],
+    )
+    @pytest.mark.parametrize("engine", ["both", "numeric"])
+    def test_zero_form_is_regular(self, q, a, b, engine):
+        assert classify_interval(q, a, b, engine=engine).indices == DeficiencyIndices(2, 2)
 
 
 class TestAnchorRule:

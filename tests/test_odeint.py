@@ -148,7 +148,7 @@ class TestStepIntegral:
             y += dx / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             dy += dx / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             squares.append(abs(y) ** 2)
-        simpson = dx / 3.0 * (squares[0] + squares[-1] + 4.0 * sum(squares[1:-1:2]) + 2.0 * sum(squares[2:-1:2]))
+        simpson = abs(dx) / 3.0 * (squares[0] + squares[-1] + 4.0 * sum(squares[1:-1:2]) + 2.0 * sum(squares[2:-1:2]))
         return math.log(simpson)
 
     def one_step_log_integral(self, q, dy0, x0, h):
@@ -181,6 +181,45 @@ class TestStepIntegral:
         assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
 
     @pytest.mark.parametrize(
+        "q, x0, dy0",
+        [
+            (PowerLaw(3.0, -1.5), 0.3, DY0),
+            (Coulomb(-2.0), 0.4, 3.0),
+            (Sum([Coulomb(-1.0), InverseSquare(2.0)]), 0.5, 1.0),
+            (PowerLaw(-1.0, -1.9), 0.2, 2.0 + 1.0j),
+            (Sum([Coulomb(2.0), InverseSquare(2.0)]), -0.5, 1.0),  # toward 0 from the left
+        ],
+        ids=["power", "coulomb", "sum", "near-inverse-square", "left-of-zero"],
+    )
+    def test_one_euler_step_matches_a_fine_quadrature(self, q, x0, dy0):
+        # a step of length h in t = -ln |x| toward 0 integrates
+        # e^(-2 h s) |w|^2 with the defect terms of a complex f; its error
+        # falls about 2^7 times per halving of h, as in x
+        errors = []
+        for h in (0.2, 0.1):
+            x1 = x0 * math.exp(-h)
+            stepper = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1.0, abs_tol=1.0), 0.0)
+            stepper.h = 2.0 * h
+            log_integral = stepper.advance(x0, x1, [(self.Y0, dy0, 0.0)])[0][3]
+            assert stepper.end == 0.0 and stepper.steps == 1
+            errors.append(log_integral - self.fine_log_integral(q, dy0, x0, x1 - x0, n=4000))
+        assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
+
+    @pytest.mark.parametrize("q", [InverseSquare(0.7), PowerLaw(-0.5, -1.2), Sum([Coulomb(-1.0), InverseSquare(-0.25)])])
+    def test_euler_shell_matches_a_tight_x_march(self, q):
+        # the state comes back in x at the shell's far edge: y, y' and the log integral
+        tight = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15))
+        euler = odeint._Stepper(q, 1j, CFG, 0.0)
+        state = [(1.0, 0.5, 0.0)]
+        for x0, x1 in ((0.5, 0.25), (0.25, 0.125)):
+            (y, dy, scale, log), = euler.advance(x0, x1, state)
+            (ty, tdy, tscale, tlog), = tight.advance(x0, x1, state)
+            state = [(y, dy, scale)]
+            assert abs(y * math.exp(scale) - ty * math.exp(tscale)) < 1e-9 * abs(ty * math.exp(tscale))
+            assert abs(dy * math.exp(scale) - tdy * math.exp(tscale)) < 1e-9 * abs(tdy * math.exp(tscale))
+            assert abs(log - tlog) < 1e-9
+
+    @pytest.mark.parametrize(
         "q, grid, bound",
         [
             # q = -x near 1e4 oscillates 100 times per unit and barely varies:
@@ -196,6 +235,32 @@ class TestStepIntegral:
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
+
+class TestFrameRule:
+    """A stepper steps in t = -ln |x - end| toward a finite end where q does not evaluate, else in x."""
+
+    @pytest.mark.parametrize(
+        "q, toward, end",
+        [
+            (InverseSquare(2.0), 0.0, 0.0),
+            (Coulomb(-1.0), 0.0, 0.0),
+            (PowerLaw(1.0, -0.5), 0.0, 0.0),  # an integrable singularity still fails to evaluate
+            (InverseSquare(0.0), 0.0, None),  # 0 everywhere
+            (Harmonic(1.0), 0.0, None),
+            (InverseSquare(2.0), 1.0, None),
+            (InverseSquare(2.0), math.inf, None),
+            (InverseSquare(2.0), None, None),
+        ],
+    )
+    def test_frame_follows_evaluate_at_the_end(self, q, toward, end):
+        assert odeint._Stepper(q, 1j, CFG, toward).end == end
+
+    @pytest.mark.parametrize("x1", [0.0, -0.25])
+    def test_euler_advance_stays_on_one_side_of_the_end(self, x1):
+        stepper = odeint._Stepper(InverseSquare(2.0), 1j, CFG, 0.0)
+        with pytest.raises(ValueError, match="must lie on one side of the end 0.0"):
+            stepper.advance(0.5, x1, [(1.0, 0.0, 0.0)])
+
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_steps", "x_min", "x_max"])
