@@ -11,6 +11,11 @@ log I_k), as decimal strings of 25 significant digits.
 * q = c / x^2 toward 0 from 0.5, for c = 0.7 and c = 2: sqrt(x) J_nu(k x)
   and sqrt(x) Y_nu(k x) with k = sqrt(i) and nu = sqrt(c + 1/4), since
   u = sqrt(x) Z_nu(k x) solves u'' = ((nu^2 - 1/4) / x^2 - k^2) u.
+* q = z / x + c / x^2 toward 0 from 0.5, for z = -1 and c = 2, where
+  d^2 q = c + z d varies across the shells: A M_{kappa,mu}(2 beta x) +
+  B W_{kappa,mu}(2 beta x), Whittaker's functions, with beta = e^(-i pi/4),
+  kappa = -z / (2 beta) and mu = sqrt(c + 1/4), since Whittaker's
+  equation in 2 beta x is y'' = (z / x + c / x^2 - i) y.
 * a table of 45 knots, q linear between them, toward its right end 5.5
   from the knot 0.5: on each piece q = q0 + s (x - x0), Ai(z) and Bi(z)
   with z = c (x - x0) + (q0 - i) / c^2 and c^3 = s, joined at every knot
@@ -55,6 +60,17 @@ def bessel_pair(c):
         return value, deriv
 
     return column(mp.besselj), column(mp.bessely)
+
+
+def whittaker_pair(z, c):
+    beta = mp.expjpi(mp.mpf(-1) / 4)
+    kappa, mu = -mp.mpf(z) / (2 * beta), mp.sqrt(mp.mpf(c) + mp.mpf(1) / 4)
+
+    def column(f):
+        value = lambda x: f(kappa, mu, 2 * beta * x)
+        return value, lambda x: mp.diff(value, x)
+
+    return column(mp.whitm), column(mp.whitw)
 
 
 def table_pieces(xs, qs, anchor):
@@ -151,6 +167,9 @@ def main():
     for c in (0.7, 2.0):
         write(f"inverse_square_{c}_origin", {"type": "inverse_square", "c": c}, 0.0, 0.5,
               [0.5 * 2.0**-k for k in range(13)], whole(bessel_pair(c), 0.5))
+    write("whittaker_coulomb_inverse_square_origin",
+          {"type": "sum", "terms": [{"type": "coulomb", "z": -1.0}, {"type": "inverse_square", "c": 2.0}]},
+          0.0, 0.5, [0.5 * 2.0**-k for k in range(13)], whole(whittaker_pair(-1.0, 2.0), 0.5))
     # knots k / 8 on [0, 5.5]; the shells from 0.5 toward 5.5 are 5.5 - 5 * 2^-k,
     # exact floats; 36 knots lie inside a shell, and each part of a shell
     # within one piece is at most 1/8 long

@@ -28,6 +28,7 @@ def test_every_oracle_file_is_found():
         "inverse_square_0.7_origin",
         "inverse_square_2.0_origin",
         "table_45_knots_right_end",
+        "whittaker_coulomb_inverse_square_origin",
     ]
 
 
