@@ -239,6 +239,8 @@ class _Stepper:
                 evaluate(q, toward)
             except NonFiniteError:
                 self.end = toward
+            except PotentialEvaluationError:
+                pass  # a table's end beyond its range: the march in x meets it
         self.h_max, self.g0_max = (math.inf, _MAX_G0) if self.end is None else (_MAX_EULER_STEP, _MAX_EULER_G0)
 
     def advance(self, x0: float, x1: float, states):

@@ -24,7 +24,7 @@ from lplc.odeint import (
     shell_edges,
     wronskian_values,
 )
-from lplc.potentials import Coulomb, Harmonic, InverseSquare, Potential, PowerLaw, Sum, Zero
+from lplc.potentials import Coulomb, Harmonic, InverseSquare, Potential, PowerLaw, Sum, Tabulated, Zero
 from lplc.sobolev import SampledFunction
 
 CFG = IntegratorConfig()
@@ -250,6 +250,7 @@ class TestFrameRule:
             (InverseSquare(2.0), 1.0, None),
             (InverseSquare(2.0), math.inf, None),
             (InverseSquare(2.0), None, None),
+            (Tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]), 5.0, None),  # beyond the table
         ],
     )
     def test_frame_follows_evaluate_at_the_end(self, q, toward, end):
