@@ -61,8 +61,9 @@ its unit variable s: the frozen solution's weighted closed form, and
 defect terms carried to the same order for complex g1 and g2 and the
 weight. A step in t is at most 1 long, which keeps the weight inside
 those series, and the bound on |h^2 f| where f varies is 1 there, not
-1/4, since what varies is mostly the fading d^2 l. At ends at +-infinity, where l x^2 makes f grow, and at regular
-ends, where a constant q is already exact in x, the x frame stays.
+1/4, since what varies is mostly the fading d^2 l. At ends at
++-infinity, where l x^2 makes f grow, and at regular ends, where a
+constant q is already exact in x, the x frame stays.
 
 shell_edges is the one place where the dyadic shells are laid out: toward
 a finite target the distance to the target halves once per shell, down
