@@ -620,7 +620,7 @@ class TestEulerFrame:
     # t = -ln d, where an inverse-square q is a constant of the coefficient
 
     def test_inverse_square_end_at_zero_takes_few_steps(self, monkeypatch):
-        # the x-frame march took 354 attempted steps over these 12 shells
+        # a march in x takes 354 attempted steps over these 12 shells
         steppers = count_attempted_steps(monkeypatch)
         report = classify_numeric(InverseSquare(2.0), ORIGIN, 0.5, CFG)
         assert len(report.tail.log_shell_integrals) == 12 and report.verdict is LP
@@ -628,8 +628,8 @@ class TestEulerFrame:
         assert steppers[0].steps <= 150
 
     def test_deep_march_toward_zero(self, monkeypatch):
-        # 490 shells down to d = 0.5 * 2^-490: in x the march raised
-        # NonFiniteError near x = 1.6e-78, where q = 0.5 / x^2 made e2 * p2
+        # 490 shells down to d = 0.5 * 2^-490: a march in x raises
+        # NonFiniteError near x = 1.6e-78, where q = 0.5 / x^2 makes e2 * p2
         # overflow; in t the coefficient stays 1/4 + 0.5 - i d^2
         steppers = count_attempted_steps(monkeypatch)
         cfg = IntegratorConfig(x_min=1e-150)

@@ -236,6 +236,7 @@ class TestStepIntegral:
         tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
 
+
 class TestFrameRule:
     """A stepper steps in t = -ln |x - end| toward a finite end where q does not evaluate, else in x."""
 
