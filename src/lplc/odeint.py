@@ -4,13 +4,13 @@ The equation is advanced as Y = (y, y') with Y' = A Y, A = [[0, 1],
 [q - l, 0]], by Magnus steps Y(x + h) = exp(Omega) Y(x). Each attempted
 step evaluates q at the three Gauss-Legendre nodes x + (1/2 - sqrt(15)/10)
 h, x + h/2 and x + (1/2 + sqrt(15)/10) h, and forms from them the
-sixth- and the fourth-order Magnus generators (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009)). A is traceless, and so is every Omega: Omega^2 =
-mu^2 I, and exp(Omega) = cosh(mu) I + sinh(mu) / mu Omega in closed form,
-with determinant 1. The step advances with the sixth-order generator; the
-fourth-order one gives the error estimate, and a step is accepted when
-the norm of the difference of the two propagated states, measured against
-abs_tol + rel_tol * |state|, is at most 1. The next step is 0.9 err^(-1/5)
+sixth-order Magnus generator, the fourth-order one plus sixth-order terms
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)). A is traceless, and
+so is every Omega: Omega^2 = mu^2 I, and exp(Omega) = cosh(mu) I +
+sinh(mu) / mu Omega in closed form, with determinant 1. The step takes
+that one exponential; the sixth-order terms applied to the state at the
+step's start give the error, and a step is accepted when its norm against
+abs_tol + rel_tol * |state| is at most 1. The next step is 0.9 err^(-1/5)
 times the last, at most 5 times. A Magnus step is exact for constant q,
 so its length is set by how fast q varies, not by how fast y grows; a
 step that would grow the solution by more than e^300 is shortened, so
@@ -208,19 +208,20 @@ def _normalized(y: complex, dy: complex, log_scale: float) -> Tuple[complex, com
 
 
 class _Stepper:
-    """Magnus 6(4) pair on three Gauss nodes, with step-size control, for y'' = (q - l) y.
+    """Sixth-order Magnus steps on three Gauss nodes, with step-size control, for y'' = (q - l) y.
 
-    Its one entry, advance(), moves a list of states on one step sequence,
-    in x or, toward a finite `toward` where q does not evaluate, in the
-    Euler frame t = -ln |x - toward| (see the module docstring).
-    It persists across consecutive advance() calls: the step size and the
-    count of attempted steps, which cfg.max_steps bounds over the
-    stepper's whole life. Every step ends at or before the next
-    breakpoint of q. Besides the error estimate, two bounds shorten a
-    step: it grows the solution by at most e^_MAX_GROWTH, and where q
-    varies on it, |h^2 (q - l)| <= _MAX_G0 (in t, |h^2 f| <= _MAX_EULER_G0
-    and h <= _MAX_EULER_STEP). Each attempt evaluates q three times, at
-    interior nodes only; of the two other evaluations, one at a finite
+    Each attempt builds one exponential and takes its error from the
+    generator's sixth-order terms. Its one entry, advance(), moves a list
+    of states on one step sequence, in x or, toward a finite `toward`
+    where q does not evaluate, in the Euler frame t = -ln |x - toward|
+    (see the module docstring). It persists across consecutive advance()
+    calls: the step size and the count of attempted steps, which
+    cfg.max_steps bounds over the stepper's whole life. Every step ends at
+    or before the next breakpoint of q. Besides the error estimate, two
+    bounds shorten a step: it grows the solution by at most e^_MAX_GROWTH,
+    and where q varies on it, |h^2 (q - l)| <= _MAX_G0 (in t, |h^2 f| <=
+    _MAX_EULER_G0 and h <= _MAX_EULER_STEP). Each attempt evaluates q three
+    times, at interior nodes only; besides, one evaluation at a finite
     `toward` chooses the frame and one at the start sizes the first step.
     """
 
@@ -324,18 +325,17 @@ class _Stepper:
             h2 = hs * hs
             e1 = _K * (q3 - q1)
             e2 = (10.0 / 3.0) * (q3 - 2.0 * q2 + q1)
-            # Omega = [[a, b], [c, -a]] of the fourth- and the sixth-order
-            # Magnus expansions on the same three nodes (b4 = hs)
+            # Omega = [[a, b], [c, -a]] of the sixth-order Magnus expansion: the
+            # fourth-order (a4, hs, c4) plus the sixth-order terms (da, db, dc)
             a4 = -h2 * e1 / 12.0
             c4 = hs * (p2 + e2 / 12.0)
-            a6 = a4 - h2 * a4 * (p2 / 15.0 + e2 / 600.0)
-            b6 = hs * (1.0 + h2 * (h2 * e1 * e1 / 3600.0 - e2 / 180.0))
-            c6 = c4 + hs * h2 * (e2 * p2 / 180.0 + e2 * e2 / 3600.0 - e1 * e1 / 120.0 + h2 * e1 * e1 * p2 / 3600.0)
+            da = -h2 * a4 * (p2 / 15.0 + e2 / 600.0)
+            db = hs * h2 * (h2 * e1 * e1 / 3600.0 - e2 / 180.0)
+            dc = hs * h2 * (e2 * p2 / 180.0 + e2 * e2 / 3600.0 - e1 * e1 / 120.0 + h2 * e1 * e1 * p2 / 3600.0)
+            a6, b6, c6 = a4 + da, hs + db, c4 + dc
             mu = cmath.sqrt(a6 * a6 + b6 * c6)
-            mu4 = cmath.sqrt(a4 * a4 + hs * c4)
-            growth = max(mu.real, mu4.real)
-            if growth > _MAX_GROWTH:
-                self.h = h * 0.5 * _MAX_GROWTH / growth
+            if mu.real > _MAX_GROWTH:
+                self.h = h * 0.5 * _MAX_GROWTH / mu.real
                 continue
             # where the coefficient varies, |h^2 p2| <= g0_max keeps the
             # defect terms of the step integral inside the range of their
@@ -345,16 +345,15 @@ class _Stepper:
                 self.h = _SAFETY * h_cap
                 continue
             ch6, sh6 = _cosh_sinhc(mu)
-            ch4, sh4 = _cosh_sinhc(mu4)
-            # each column's sixth-order step, and the error of the fourth-order one
+            # each column's step, and its error: (da, db, dc) applied to the start state
             err = 0.0
             new = []
             for y, dy in zip(ys, dys):
                 v = a6 * y + b6 * dy
                 y6 = ch6 * y + sh6 * v
                 d6 = ch6 * dy + sh6 * (c6 * y - a6 * dy)
-                ey = y6 - ch4 * y - sh4 * (a4 * y + hs * dy)
-                ed = d6 - ch4 * dy - sh4 * (c4 * y - a4 * dy)
+                ey = da * y + db * dy
+                ed = dc * y - da * dy
                 sc_y = abs_tol + rel_tol * max(abs(y), abs(y6))
                 sc_dy = abs_tol + rel_tol * max(abs(dy), abs(d6))
                 err = max(err, (abs(ey) / sc_y) ** 2 + (abs(ed) / sc_dy) ** 2)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import lplc.classify
 from lplc import odeint
-from lplc.classify import classify_interval
+from lplc.classify import Endpoint, classify_interval, classify_numeric
 from lplc.errors import (
     GridMismatchError,
     MaxStepsExceededError,
@@ -452,6 +453,37 @@ class TestOneSteppingEntry:
     def test_fundamental_pair_marches_both_columns_together(self, widths):
         t1, _ = fundamental_pair(Coulomb(2.0), 1j, 0.5, 8.0, CFG)
         assert widths == [2] * (len(t1.x) - 1)
+
+
+class TestOneExponentialPerAttempt:
+    """An attempted step builds one exponential; its error comes from the generator's sixth-order terms."""
+
+    @pytest.mark.parametrize(
+        "q, end, anchor, frame_end",
+        [
+            (InverseSquare(2.0), Endpoint(0.0, "left"), 0.5, 0.0),  # Euler frame
+            (Harmonic(1.0), Endpoint(math.inf, "right"), 1.0, None),  # x frame
+        ],
+    )
+    def test_cosh_sinhc_runs_at_most_once_per_attempted_step(self, q, end, anchor, frame_end, monkeypatch):
+        steppers = []
+        calls = []
+        cosh_sinhc = odeint._cosh_sinhc
+
+        class Counted(odeint._Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steppers.append(self)
+
+        def counted(mu):
+            calls.append(mu)
+            return cosh_sinhc(mu)
+
+        monkeypatch.setattr(lplc.classify, "_Stepper", Counted)
+        monkeypatch.setattr(odeint, "_cosh_sinhc", counted)
+        classify_numeric(q, end, anchor, CFG)
+        assert [s.end for s in steppers] == [frame_end]
+        assert 0 < len(calls) <= steppers[0].steps
 
 
 class TestWronskian:
