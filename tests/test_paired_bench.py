@@ -1,4 +1,4 @@
-"""The claim rule of tools/paired_bench.py, on made-up paired runs."""
+"""The claim and no-regression rules of tools/paired_bench.py, on made-up paired runs."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,30 @@ def test_lower_is_better_counts_a_fall_as_a_win():
     assert (s["wins"], s["claim"]) == (10, True)
     s = paired_bench.summarize(PARENT, [p + 30.0 for p in PARENT], "lower")
     assert (s["wins"], s["losses"], s["claim"]) == (0, 10, False)
+
+
+# PARENT's median is 79 and its interquartile range 9, about 11 % of it
+
+
+def test_a_loss_inside_the_bound_is_ok():
+    # 5 below the parent in every pair, 6 % of its median, against a bound of 25 %
+    assert paired_bench.regression(PARENT, [p - 5.0 for p in PARENT], "higher", 0.25) == "ok"
+
+
+def test_a_loss_beyond_the_bound_is_worse():
+    assert paired_bench.regression(PARENT, [p - 30.0 for p in PARENT], "higher", 0.25) == "worse"
+    assert paired_bench.regression(PARENT, [p + 30.0 for p in PARENT], "lower", 0.25) == "worse"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # the parent's own runs spread by 11 % of its median, against a bound of 5 %
+    assert paired_bench.regression(PARENT, [p - 1.0 for p in PARENT], "higher", 0.05) == "unresolved"
+    assert paired_bench.regression(PARENT, [p - 30.0 for p in PARENT], "higher", 0.05) == "unresolved"
+
+
+def test_every_change_run_better_than_every_parent_run_is_ok_despite_the_spread():
+    assert paired_bench.regression(PARENT, [p + 30.0 for p in PARENT], "higher", 0.05) == "ok"
+    assert paired_bench.regression(PARENT, [p - 30.0 for p in PARENT], "lower", 0.05) == "ok"
+    # one change run that does not beat the parent's best leaves it unresolved
+    change = [p + 30.0 for p in PARENT[:9]] + [85.0]
+    assert paired_bench.regression(PARENT, change, "higher", 0.05) == "unresolved"

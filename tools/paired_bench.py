@@ -18,8 +18,14 @@ For every end-to-end metric of BENCHMARK.json the report gives each
 side's median and quartiles, the number of pairs this tree wins (a tie
 counts for neither side) and whether the claim rule holds: this tree
 wins at least nine pairs in ten, and the medians differ, in the better
-direction, by more than the parent's interquartile range. It also gives
-the attempted and failed operations of each side.
+direction, by more than the parent's interquartile range. Next to it
+stands the no-regression rule, against the metric's relative `bound` in
+BENCHMARK.json: `ok` when this tree's median is worse than the parent's
+by at most the bound times the parent's median, `worse` when by more, and
+`unresolved` when the parent's interquartile range is wider than the
+bound times its median, where no verdict can be read; but `ok` whenever
+every run of this tree reads better than every run of the parent. It
+also gives the attempted and failed operations of each side.
 """
 
 from __future__ import annotations
@@ -69,6 +75,17 @@ def summarize(parent: list, change: list, better: str) -> dict:
     return {"parent": (pm, p1, p3), "change": (cm, c1, c3), "wins": wins, "losses": losses, "claim": claim}
 
 
+def regression(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression rule for one metric over paired runs: ok, worse or unresolved."""
+    sign = 1.0 if better == "higher" else -1.0
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "ok"
+    p1, pm, p3 = quartiles(parent)
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    return "worse" if sign * (statistics.median(change) - pm) < -bound * abs(pm) else "ok"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -95,12 +112,17 @@ def main(argv=None) -> int:
         failed = sum(r["failed"] for r in runs[side])
         correct = all(r["correct"] for r in runs[side])
         print(f"  {side}: {attempted} operations, {failed} failed, every output correct: {correct}")
-    print(f"  {'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}  won-lost  claim")
+    print(f"  {'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}  won-lost  claim  bound  regression")
     for m in metrics:
         name = m["name"]
-        s = summarize(*([r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change")), m["better"])
+        values = [[r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change")]
+        s = summarize(*values, m["better"])
+        verdict = regression(*values, m["better"], m["bound"])
         cell = lambda t: f"{t[0]:.4g} [{t[1]:.4g}, {t[2]:.4g}]"
-        print(f"  {name:<16} {cell(s['parent']):>30} {cell(s['change']):>30}  {s['wins']:>4}-{s['losses']:<4} {'holds' if s['claim'] else 'no'}")
+        print(
+            f"  {name:<16} {cell(s['parent']):>30} {cell(s['change']):>30}  {s['wins']:>4}-{s['losses']:<4}"
+            f" {'holds' if s['claim'] else 'no':<6} {m['bound']:<6g} {verdict}"
+        )
     return 0
 
 
