@@ -71,17 +71,52 @@ def test_answers_match_the_digest(workload, seed):
 
 
 def compare(old: list, new: list) -> tuple:
-    """(moved verdicts, largest absolute change of a shell log) between two digests."""
-    moved, largest = [], 0.0
+    """What moved between two digests: (verdicts, shell counts, largest shell-log change, where it lies).
+
+    The first two are lists of lines, one per end; the largest change is
+    the absolute difference of two logs at one shell, infinite when only
+    one of them is finite, and `where` names its problem, kind, side and
+    shell, or is None when no log moved.
+    """
+    moved, recounted, largest, where = [], [], 0.0, None
     for i, (a, b) in enumerate(zip(old, new)):
         for side, ea, eb in zip(("left", "right"), a["ends"], b["ends"]):
+            end = f"{i} {a['kind']} {side}"
             if (ea["verdict"], ea["engine"]) != (eb["verdict"], eb["engine"]):
-                moved.append(f"{i} {a['kind']} {side}: {ea['verdict']} -> {eb['verdict']}")
-            for u, v in zip(ea["logs"], eb["logs"]):
+                moved.append(f"{end}: {ea['verdict']} -> {eb['verdict']}")
+            if len(ea["logs"]) != len(eb["logs"]):
+                recounted.append(f"{end}: {len(ea['logs'])} -> {len(eb['logs'])} shells")
+            for k, (u, v) in enumerate(zip(ea["logs"], eb["logs"])):
                 u, v = float.fromhex(u), float.fromhex(v)
-                if math.isfinite(u) and math.isfinite(v):
-                    largest = max(largest, abs(u - v))
-    return moved, largest
+                change = abs(u - v) if math.isfinite(u) and math.isfinite(v) else (math.inf if u != v else 0.0)
+                if change > largest:
+                    largest, where = change, f"problem {end}, shell {k}"
+    return moved, recounted, largest, where
+
+
+def _made_up(*ends) -> list:
+    """A one-problem digest of kind `k`, one end per (verdict, logs) pair."""
+    return [{"kind": "k", "ends": [{"verdict": v, "engine": "numeric", "logs": [float.hex(x) for x in logs]} for v, logs in ends]}]
+
+
+def test_compare_reports_a_changed_shell_count():
+    old = _made_up(("LP", [1.0, 2.0, 3.0, 4.0]), ("LC", [1.0, 0.5, 0.25, 0.125, 0.0625]))
+    new = _made_up(("LP", [1.0, 2.0, 3.0, 4.0, 5.0]), ("LC", [1.0, 0.5, 0.25, 0.125, 0.0625]))
+    assert compare(old, new) == ([], ["0 k left: 4 -> 5 shells"], 0.0, None)
+
+
+def test_compare_names_where_the_largest_change_lies():
+    old = _made_up(("LP", [1.0, 2.0, 3.0, 4.0]), ("LC", [1.0, 0.5, 0.25, 0.125]))
+    new = _made_up(("LP", [1.0, 2.0 + 1e-9, 3.0, 4.0]), ("inconclusive", [1.0, 0.5, 0.25 + 1e-6, 0.125]))
+    moved, recounted, largest, where = compare(old, new)
+    assert (moved, recounted, where) == (["0 k right: LC -> inconclusive"], [], "problem 0 k right, shell 2")
+    assert largest == abs((0.25 + 1e-6) - 0.25)
+
+
+def test_compare_counts_a_log_that_leaves_float_range_as_the_largest_change():
+    old = _made_up(("LC", [1.0, 0.5, 0.25, 0.125]), ("LC", [1.0, 0.5, 0.25, -math.inf]))
+    new = _made_up(("LC", [1.0, 0.5, 0.25, -math.inf]), ("LC", [1.0, 0.5, 0.25, -math.inf]))
+    assert compare(old, new) == ([], [], math.inf, "problem 0 k left, shell 3")
 
 
 def _regenerate() -> None:
@@ -95,9 +130,10 @@ def _regenerate() -> None:
 
 
 def _report(name: str, old: list, new: list) -> None:
-    moved, largest = compare(old, new)
-    print(f"{name}: {len(moved)} moved verdicts, largest shell-log change {largest:.3g}")
-    for line in moved:
+    moved, recounted, largest, where = compare(old, new)
+    at = f" ({where})" if where else ""
+    print(f"{name}: {len(moved)} moved verdicts, {len(recounted)} changed shell counts, largest shell-log change {largest:.3g}{at}")
+    for line in moved + recounted:
         print(f"  {line}")
 
 
@@ -106,7 +142,8 @@ USAGE = """usage: PYTHONPATH=src python tests/test_answers.py --regenerate
        PYTHONPATH=src python tests/test_answers.py --compare OLD_FILE NEW_FILE
 
 --dump writes the digest of both corpora at other seeds, for the lplc on
-PYTHONPATH; --compare reports the verdicts that moved between two dumps."""
+PYTHONPATH; --compare reports what moved between two dumps: verdicts,
+shell counts and the largest shell-log change, with where it lies."""
 
 
 if __name__ == "__main__":
