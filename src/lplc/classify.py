@@ -11,7 +11,9 @@ provided.
 * The numeric engine integrates one solution, the one with data (1, 0)
   at the anchor, at the probe eigenvalue i toward the endpoint and
   measures the integrals of |y|^2 over successive dyadic shells, which
-  the integrator accumulates inside its steps between shell edges. A
+  the integrator accumulates inside its steps between shell edges, or,
+  toward +-inf, reads from the states at the shell edges as Green's
+  boundary term (Im(conj(y) y')(x0) - Im(conj(y) y')(x1)) / Im(l). A
   geometric decay of the shell integrals certifies square
   integrability; geometric growth certifies its failure; shell ratios
   inside a guard band around 1 are reported as inconclusive rather than
@@ -334,7 +336,8 @@ def classify_numeric(
         )
     # March the solution shell by shell: shell k runs from edges[k] to
     # edges[k + 1], and its log integral of |y|^2 is the one the
-    # integrator accumulated inside its steps. One stepper per endpoint:
+    # integrator accumulated inside its steps, or Green's boundary term
+    # toward +-inf (see odeint). One stepper per endpoint:
     # its step budget covers the whole march, and it marches in the Euler
     # frame when q does not evaluate at a finite endpoint.
     stepper = _Stepper(q, eigenvalue, cfg, endpoint.position)

@@ -44,6 +44,19 @@ returns one log integral per recording interval, in a trace of plain
 tuples, so integration and every classify run load no numpy: only the
 functions that compute on whole arrays import it.
 
+A stepper built toward +-infinity at a non-real l, as every classify
+march toward +-infinity is, sums nothing inside its steps. For a real q,
+Green's formula Im(conj(y) y')' = -Im(l) |y|^2 (Weyl, Math. Ann. 68
+(1910); Coddington & Levinson 1955, ch. 9) makes the integral from x0 to
+x1 a boundary term, (F(x0) - F(x1)) / Im(l) with F = Im(conj(y) y') and
+the sign of the march, and advance forms it from the states at x0 and x1
+in the log domain (_green_log_integral). The steps are those of the sum,
+bit for bit. A difference that is not positive raises NonFiniteError
+rather than give a -inf log. Every other stepper keeps the sum: toward
+a regular end the deep shells cancel in the difference, in the Euler
+frame Im(conj(w) w_t) is only about d^2 of |w w_t|, and a stepper built
+without `toward` may carry a real l, where the identity holds no integral.
+
 The frame rule: a stepper built toward a finite end e where q does not
 evaluate (evaluate raises NonFiniteError) steps in Langer's Euler frame,
 and every other stepper steps in x. With d = |x - e| and t = -ln d, the
@@ -168,7 +181,8 @@ class SolutionTrace:
     x; log_scale holds the accumulated logarithmic factors, so
     exp(log_scale[i]) * y[i] is the true solution value at x[i].
     log_square_integrals[i] is the log of the integral of |true y|^2
-    over [x[i], x[i+1]], taken by the integrator inside its steps.
+    over [x[i], x[i+1]], taken by the integrator inside its steps, or,
+    on a march toward +-inf, from Green's identity at x[i] and x[i+1].
     """
 
     eigenvalue: complex
@@ -223,6 +237,8 @@ class _Stepper:
     _MAX_EULER_G0 and h <= _MAX_EULER_STEP). Each attempt evaluates q three
     times, at interior nodes only; besides, one evaluation at a finite
     `toward` chooses the frame and one at the start sizes the first step.
+    Toward an infinite `toward` at a non-real l (`green`), each advance's
+    integral is Green's boundary term of its end states, not a sum.
     """
 
     def __init__(self, q: Potential, l: complex, cfg: IntegratorConfig, toward: Optional[float] = None):
@@ -244,6 +260,9 @@ class _Stepper:
             except PotentialEvaluationError:
                 pass  # a table's end beyond its range: the march in x meets it
         self.h_max, self.g0_max = (math.inf, _MAX_G0) if self.end is None else (_MAX_EULER_STEP, _MAX_EULER_G0)
+        # toward +-inf at a non-real l, each advance's integral of |y|^2 is
+        # Green's boundary term of its end states, not a sum over its steps
+        self.green = toward is not None and math.isinf(toward) and l.imag != 0.0
 
     def advance(self, x0: float, x1: float, states):
         """Integrate each state (y, dy, log_scale) of the list from x0 to x1 (either direction).
@@ -252,10 +271,12 @@ class _Stepper:
         log_integral) per state: the state is rescaled into the band, and
         log_integral is the log of the integral of |true y|^2 |dx| from x0
         to x1. In the Euler frame the states are mapped to (w, w_t) at x0
-        and back at x1, and the steps run in t.
+        and back at x1, and the steps run in t. Toward +-inf (self.green)
+        the steps add up no integral: it is _green_log_integral of the
+        states at x0 and x1.
         """
         cfg = self.cfg
-        q, l, end = self.q, self.l, self.end
+        q, l, end, green = self.q, self.l, self.end, self.green
         h_max, g0_max = self.h_max, self.g0_max
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
         band, inv_band = _RESCALE_BAND, 1.0 / _RESCALE_BAND
@@ -277,6 +298,8 @@ class _Stepper:
         logs = [-math.inf] * n
         refs = [0.0] * n
         u = x0  # the frame's variable: x, or t = -ln d
+        # Im(conj(y) y') and the log scale of each state at x0, for Green's identity
+        starts = [((y.conjugate() * dy).imag, scale) for y, dy, scale in zip(ys, dys, scales)] if green else ()
         if end is not None:
             if x1 == end or (x0 > end) != (x1 > end):
                 raise ValueError(f"[{x0}, {x1}] must lie on one side of the end {end}")
@@ -369,20 +392,21 @@ class _Stepper:
             g0, g1, g2 = h2 * p2, h2 * e1, h2 * e2
             for i, (y6, d6, v) in enumerate(new):
                 y = ys[i]
-                if end is None:
-                    totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
-                else:
+                if end is not None:
                     # |y|^2 |dx| = d^2 |w|^2 dt, and d^2 falls as e^(-2 hs s) across the step
                     weight = h * math.exp(2.0 * (refs[i] - start))
                     totals[i] += weight * (_weighted_square_integral(mu, -2.0 * hs, y, v) + _weighted_defect(g0, g1, g2, -2.0 * hs, y, hs * dys[i]))
+                elif not green:
+                    totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
                 s = abs(y6) + abs(d6)
                 if s == 0.0 or not math.isfinite(s):
                     raise NonFiniteError(f"solution state degenerate at x={self._x_at(u)}")
                 if s > band or s < inv_band:
-                    logs[i] = _fold(logs[i], totals[i], scales[i] - refs[i])
-                    totals[i] = 0.0
-                    if end is not None:
-                        refs[i] = u
+                    if not green:
+                        logs[i] = _fold(logs[i], totals[i], scales[i] - refs[i])
+                        totals[i] = 0.0
+                        if end is not None:
+                            refs[i] = u
                     y6 /= s
                     d6 /= s
                     scales[i] += math.log(s)
@@ -392,6 +416,11 @@ class _Stepper:
             self.h = max(self.h, grown) if final else grown
             if final:
                 if not stops:
+                    if green:
+                        return [
+                            (ys[i], dys[i], scales[i], _green_log_integral(f0, s0, (ys[i].conjugate() * dys[i]).imag, scales[i], sign, l.imag, x1))
+                            for i, (f0, s0) in enumerate(starts)
+                        ]
                     out = [(ys[i], dys[i], scales[i], _fold(logs[i], totals[i], scales[i] - refs[i])) for i in range(n)]
                     if end is None:
                         return out
@@ -563,6 +592,24 @@ def _weighted_defect(g0: complex, g1: complex, g2: complex, k: float, y: complex
     im = p * b / 540.0 - k * s / 7560.0 - q * (1.0 / 360.0 + k / 720.0 + kk / 2520.0 - a / 3780.0)
     wy = w * y.conjugate()
     return on_yy * abs(y) ** 2 + on_ww * abs(w) ** 2 + 2.0 * (re * wy.real - im * wy.imag)
+
+
+def _green_log_integral(f0: float, s0: float, f1: float, s1: float, sign: float, im_l: float, x1: float) -> float:
+    """log of the integral of |y|^2 |dx| from x0 to x1, Green's boundary term of the states there.
+
+    For a real q, Im(conj(y) y')' = -Im(l) |y|^2, so the integral is
+    sign (F0 e^(2 s0) - F1 e^(2 s1)) / Im(l), where F0 and F1 are
+    Im(conj(y) y') of the mantissas at x0 and x1, s0 and s1 their log
+    scales and sign the direction of the march. It is formed against
+    m = max(2 s0, 2 s1), so it never overflows. A difference that is not
+    positive, the integral lost to cancellation, raises NonFiniteError:
+    its log would be -inf, which a fit reads as super-geometric decay.
+    """
+    m = 2.0 * max(s0, s1)
+    diff = sign * (f0 * math.exp(2.0 * s0 - m) - f1 * math.exp(2.0 * s1 - m)) / im_l
+    if not 0.0 < diff < math.inf:
+        raise NonFiniteError(f"Green's identity leaves no positive integral of |y|^2 up to x={x1!r}: {diff!r}")
+    return math.log(diff) + m
 
 
 def _fold(log_total: float, scaled_sum: float, log_scale: float) -> float:

@@ -9,8 +9,10 @@ from lplc import odeint
 from lplc.classify import Endpoint, classify_interval, classify_numeric
 from lplc.errors import (
     GridMismatchError,
+    LplcError,
     MaxStepsExceededError,
     MissingDerivativeError,
+    NonFiniteError,
     OutOfRangeError,
     StepUnderflowError,
 )
@@ -25,7 +27,7 @@ from lplc.odeint import (
     shell_edges,
     wronskian_values,
 )
-from lplc.potentials import Coulomb, Harmonic, InverseSquare, Potential, PowerLaw, Sum, Tabulated, Zero
+from lplc.potentials import Coulomb, Harmonic, InverseSquare, Potential, PowerLaw, Sum, Tabulated, Zero, effective_potential
 from lplc.sobolev import SampledFunction
 
 CFG = IntegratorConfig()
@@ -484,6 +486,108 @@ class TestOneExponentialPerAttempt:
         classify_numeric(q, end, anchor, CFG)
         assert [s.end for s in steppers] == [frame_end]
         assert 0 < len(calls) <= steppers[0].steps
+
+
+def counted_steppers(monkeypatch):
+    """Every _Stepper classify builds, in order of construction."""
+    steppers = []
+
+    class Counted(odeint._Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(self)
+
+    monkeypatch.setattr(lplc.classify, "_Stepper", Counted)
+    return steppers
+
+
+class TestGreenShellIntegrals:
+    """Toward +-inf a shell's integral of |y|^2 is Green's boundary term of the states at its edges.
+
+    For a real q, Im(conj(y) y')' = -Im(l) |y|^2, so the integral over a
+    shell is (F(x0) - F(x1)) / Im(l) with F = Im(conj(y) y'), and no step
+    adds one up.
+    """
+
+    @pytest.mark.parametrize(
+        "q, end, anchor",
+        [
+            (Harmonic(1.0), math.inf, 1.0),
+            (Harmonic(1e4), math.inf, 1.0),
+            (effective_potential(Coulomb(-1.0), 3, 2).q_eff, math.inf, 1.0),
+            (PowerLaw(-1.0, 1.0), math.inf, 1.0),  # oscillatory
+            (effective_potential(Zero(), 3, 1000).q_eff, math.inf, 1.0),  # centrifugal, l = 1000
+            (Harmonic(1.0), -math.inf, -1.0),
+        ],
+        ids=["harmonic", "harmonic-1e4", "coulomb-centrifugal", "oscillatory", "centrifugal-1000", "harmonic-minus-inf"],
+    )
+    def test_green_march_matches_the_quadrature_march(self, q, end, anchor, monkeypatch):
+        # the same steps and states as a standalone march over the same
+        # edges, which integrates |y|^2 inside its steps; only the logs differ
+        steppers = counted_steppers(monkeypatch)
+        states = []
+        shell = lplc.classify.integrate_grid
+
+        def recorded(*args, **kwargs):
+            trace = shell(*args, **kwargs)
+            states.append(trace.final_state)
+            return trace
+
+        monkeypatch.setattr(lplc.classify, "integrate_grid", recorded)
+        logs = classify_numeric(q, Endpoint(end, "right" if end > 0 else "left"), anchor, CFG).tail.log_shell_integrals
+        (green,) = steppers
+        quadrature = odeint._Stepper(q, 1j, CFG)
+        edges = shell_edges(anchor, end, CFG)[: len(logs) + 1]
+        trace = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG, _stepper=quadrature)
+        assert green.green and not quadrature.green
+        assert green.steps == quadrature.steps
+        assert states == [ComplexState(*row) for row in zip(trace.y, trace.dy, trace.log_scale)][1:]
+        for got, want in zip(logs, trace.log_square_integrals, strict=True):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_steppers_toward_infinity_add_up_no_square_integral(self, monkeypatch):
+        calls = []
+        for name in ("_unit_square_integral", "_frozen_defect"):
+            original = getattr(odeint, name)
+            monkeypatch.setattr(odeint, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        steppers = counted_steppers(monkeypatch)
+        classify_numeric(Harmonic(1.0), Endpoint(math.inf, "right"), 1.0, CFG)
+        classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, CFG)
+        assert [s.green for s in steppers] == [True, True] and all(s.steps > 0 for s in steppers)
+        assert calls == []
+        # a regular finite end, a standalone march and a real l toward +inf still sum inside the steps
+        odeint._Stepper(Harmonic(1.0), 1j, CFG, 2.0).advance(1.0, 1.5, [(1.0, 0.0, 0.0)])
+        assert sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+        calls.clear()
+        integrate_grid(Harmonic(1.0), 1j, [1.0, 2.0, 4.0], ComplexState(1.0, 0.0), CFG)
+        assert sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+        calls.clear()
+        real = odeint._Stepper(Harmonic(1.0), 2.0, CFG, math.inf)
+        real.advance(1.0, 2.0, [(1.0, 0.0, 0.0)])
+        assert not real.green and sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+
+    def test_boundary_term_in_the_log_domain(self):
+        # F0 = 3, F1 = 1 at one scale: the integral is 2; toward -inf the sign flips
+        assert odeint._green_log_integral(3.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0) == math.log(2.0)
+        assert odeint._green_log_integral(1.0, 0.0, 3.0, 0.0, -1.0, 1.0, -2.0) == math.log(2.0)
+        # scales far beyond float range, and Im(l) = -1/2
+        log = odeint._green_log_integral(0.5, 400.0, 1.0, 500.0, 1.0, -0.5, 2.0)
+        assert log == pytest.approx(1000.0 + math.log(2.0 * (1.0 - 0.5 * math.exp(-200.0))), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "f0, s0, f1, s1, sign",
+        [
+            (1.0, 0.0, 1.0, 0.0, 1.0),  # full cancellation: the difference is 0
+            (1.0, 0.0, 2.0, 0.0, 1.0),  # rounding left a negative difference
+            (2.0, 0.0, 1.0, 0.0, -1.0),  # the same, marched toward -inf
+            (1.0, 0.0, 1.0, 10.0, 1.0),
+            (math.nan, 0.0, 1.0, 0.0, 1.0),
+        ],
+    )
+    def test_a_cancelled_boundary_term_raises_and_never_reads_minus_inf(self, f0, s0, f1, s1, sign):
+        with pytest.raises(NonFiniteError, match="x=7.5") as caught:
+            odeint._green_log_integral(f0, s0, f1, s1, sign, 1.0, 7.5)
+        assert isinstance(caught.value, LplcError)
 
 
 class TestWronskian:
