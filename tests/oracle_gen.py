@@ -8,6 +8,12 @@ shell edges, the log shell integrals and their increments (log I_{k+1} -
 log I_k), as decimal strings of 25 significant digits.
 
 * q = x toward +inf from 1: Ai(x - i) and Bi(x - i).
+* q = x^2 toward +inf from 1: D_nu(sqrt(2) x) and D_nu(-sqrt(2) x),
+  parabolic cylinder functions with nu = i/2 - 1/2, since D_nu(z) solves
+  D'' = (z^2 / 4 - nu - 1/2) D, which in z = sqrt(2) x is
+  y'' = (x^2 - i) y. Its shells grow as e^(x^2), so Im(conj(y) y') is a
+  small part of |y| |y'| there, which the engine's boundary terms toward
+  +inf must resolve.
 * q = c / x^2 toward 0 from 0.5, for c = 0.7 and c = 2: sqrt(x) J_nu(k x)
   and sqrt(x) Y_nu(k x) with k = sqrt(i) and nu = sqrt(c + 1/4), since
   u = sqrt(x) Z_nu(k x) solves u'' = ((nu^2 - 1/4) / x^2 - k^2) u.
@@ -48,6 +54,20 @@ def airy_pair():
         return (lambda x: f(x - I)), (lambda x: f(x - I, derivative=1))
 
     return column(mp.airyai), column(mp.airybi)
+
+
+def parabolic_cylinder_pair():
+    nu = (I - 1) / 2
+    root2 = mp.sqrt(2)
+
+    def column(sign):
+        # D_nu'(z) = z D_nu(z) / 2 - D_(nu+1)(z)
+        z = lambda x: sign * root2 * x
+        value = lambda x: mp.pcfd(nu, z(x))
+        deriv = lambda x: sign * root2 * (z(x) / 2 * mp.pcfd(nu, z(x)) - mp.pcfd(nu + 1, z(x)))
+        return value, deriv
+
+    return column(1), column(-1)
 
 
 def bessel_pair(c):
@@ -164,6 +184,8 @@ def main():
     whole = lambda pair, anchor: [(-mp.inf, mp.inf, anchored(pair, anchor))]
     write("airy_plus_inf", {"type": "power_law", "c": 1.0, "p": 1.0}, "inf", 1.0,
           [2.0**k for k in range(5)], whole(airy_pair(), 1.0))
+    write("harmonic_plus_inf", {"type": "harmonic", "k": 1.0}, "inf", 1.0,
+          [2.0**k for k in range(5)], whole(parabolic_cylinder_pair(), 1.0))
     for c in (0.7, 2.0):
         write(f"inverse_square_{c}_origin", {"type": "inverse_square", "c": c}, 0.0, 0.5,
               [0.5 * 2.0**-k for k in range(13)], whole(bessel_pair(c), 0.5))

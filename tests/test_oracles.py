@@ -25,6 +25,7 @@ BOUND = 1e-8
 def test_every_oracle_file_is_found():
     assert [p.stem for p in ORACLES] == [
         "airy_plus_inf",
+        "harmonic_plus_inf",
         "inverse_square_0.7_origin",
         "inverse_square_2.0_origin",
         "table_45_knots_right_end",
