@@ -260,8 +260,6 @@ class _Stepper:
             except PotentialEvaluationError:
                 pass  # a table's end beyond its range: the march in x meets it
         self.h_max, self.g0_max = (math.inf, _MAX_G0) if self.end is None else (_MAX_EULER_STEP, _MAX_EULER_G0)
-        # toward +-inf at a non-real l, each advance's integral of |y|^2 is
-        # Green's boundary term of its end states, not a sum over its steps
         self.green = toward is not None and math.isinf(toward) and l.imag != 0.0
 
     def advance(self, x0: float, x1: float, states):
