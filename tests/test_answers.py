@@ -3,9 +3,11 @@
 tests/data/answers/<workload>-<seed>.json holds, for each problem of the
 `infinity` and `origin` corpora of perfbench/corpus.py at the default and
 the hold-out seed, each endpoint's verdict, engine and shell logs, the
-logs as float.hex. The test recomputes the digest in process and compares
-it entry for entry, so a change that moves one shell log by one ulp fails
-here. Regenerate the files only on purpose, with
+logs as float.hex, and the attempted steps of each marched end: one count
+per stepper that classify builds, in the order the ends are marched. The
+test recomputes the digest in process and compares it entry for entry,
+so a change that moves one shell log by one ulp, or one end's step
+sequence by one attempt, fails here. Regenerate the files only on purpose, with
 
     PYTHONPATH=src python tests/test_answers.py --regenerate
 
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import lplc.classify
 from lplc.classify import classify_interval
 from lplc.potentials import effective_potential, from_dict
 
@@ -42,18 +45,34 @@ CORPUS = _corpus_module()
 CASES = [(w, s) for w in WORKLOADS for s in (CORPUS.DEFAULT_SEED, CORPUS.HOLDOUT_SEED)]
 
 
+class _Counted(lplc.classify._Stepper):
+    """A stepper that lists itself in `built` when classify builds it."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built.append(self)
+
+
 def digest(workload: str, seed: int) -> list:
-    """One entry per problem: its kind and, per endpoint, verdict, engine and shell logs."""
+    """One entry per problem: its kind, per endpoint verdict, engine and shell logs, and per marched end its steps."""
     out = []
-    for problem in CORPUS.CORPORA[workload](seed):
-        q = from_dict(problem.potential)
-        subject = q if problem.n is None else effective_potential(q, problem.n, problem.l)
-        report = classify_interval(subject, problem.a, problem.b, engine=problem.engine)
-        ends = []
-        for ep in (report.left, report.right):
-            logs = [] if ep.tail is None else [float.hex(v) for v in ep.tail.log_shell_integrals]
-            ends.append({"verdict": ep.verdict.value, "engine": ep.engine.value, "logs": logs})
-        out.append({"kind": problem.kind, "ends": ends})
+    stepper = lplc.classify._Stepper
+    lplc.classify._Stepper = _Counted
+    try:
+        for problem in CORPUS.CORPORA[workload](seed):
+            q = from_dict(problem.potential)
+            subject = q if problem.n is None else effective_potential(q, problem.n, problem.l)
+            _Counted.built.clear()
+            report = classify_interval(subject, problem.a, problem.b, engine=problem.engine)
+            ends = []
+            for ep in (report.left, report.right):
+                logs = [] if ep.tail is None else [float.hex(v) for v in ep.tail.log_shell_integrals]
+                ends.append({"verdict": ep.verdict.value, "engine": ep.engine.value, "logs": logs})
+            out.append({"kind": problem.kind, "ends": ends, "steps": [s.steps for s in _Counted.built]})
+    finally:
+        lplc.classify._Stepper = stepper
     return out
 
 
@@ -71,15 +90,18 @@ def test_answers_match_the_digest(workload, seed):
 
 
 def compare(old: list, new: list) -> tuple:
-    """What moved between two digests: (verdicts, shell counts, largest shell-log change, where it lies).
+    """What moved between two digests: (verdicts, counts, largest shell-log change, where it lies).
 
-    The first two are lists of lines, one per end; the largest change is
-    the absolute difference of two logs at one shell, infinite when only
-    one of them is finite, and `where` names its problem, kind, side and
-    shell, or is None when no log moved.
+    The first two are lists of lines: one per end whose verdict moved, and
+    one per end whose shell count changed or problem whose attempted steps
+    changed; the largest change is the absolute difference of two logs at
+    one shell, infinite when only one of them is finite, and `where` names
+    its problem, kind, side and shell, or is None when no log moved.
     """
     moved, recounted, largest, where = [], [], 0.0, None
     for i, (a, b) in enumerate(zip(old, new)):
+        if a.get("steps") != b.get("steps"):
+            recounted.append(f"{i} {a['kind']}: steps {a.get('steps')} -> {b.get('steps')}")
         for side, ea, eb in zip(("left", "right"), a["ends"], b["ends"]):
             end = f"{i} {a['kind']} {side}"
             if (ea["verdict"], ea["engine"]) != (eb["verdict"], eb["engine"]):
@@ -103,6 +125,12 @@ def test_compare_reports_a_changed_shell_count():
     old = _made_up(("LP", [1.0, 2.0, 3.0, 4.0]), ("LC", [1.0, 0.5, 0.25, 0.125, 0.0625]))
     new = _made_up(("LP", [1.0, 2.0, 3.0, 4.0, 5.0]), ("LC", [1.0, 0.5, 0.25, 0.125, 0.0625]))
     assert compare(old, new) == ([], ["0 k left: 4 -> 5 shells"], 0.0, None)
+
+
+def test_compare_reports_changed_steps():
+    old = [{**_made_up(("LP", [1.0, 2.0, 3.0, 4.0]), ("LC", [1.0, 0.5, 0.25, 0.125]))[0], "steps": [40, 90]}]
+    new = [{**old[0], "steps": [40, 91]}]
+    assert compare(old, new) == ([], ["0 k: steps [40, 90] -> [40, 91]"], 0.0, None)
 
 
 def test_compare_names_where_the_largest_change_lies():
@@ -132,7 +160,7 @@ def _regenerate() -> None:
 def _report(name: str, old: list, new: list) -> None:
     moved, recounted, largest, where = compare(old, new)
     at = f" ({where})" if where else ""
-    print(f"{name}: {len(moved)} moved verdicts, {len(recounted)} changed shell counts, largest shell-log change {largest:.3g}{at}")
+    print(f"{name}: {len(moved)} moved verdicts, {len(recounted)} changed shell or step counts, largest shell-log change {largest:.3g}{at}")
     for line in moved + recounted:
         print(f"  {line}")
 
@@ -143,7 +171,8 @@ USAGE = """usage: PYTHONPATH=src python tests/test_answers.py --regenerate
 
 --dump writes the digest of both corpora at other seeds, for the lplc on
 PYTHONPATH; --compare reports what moved between two dumps: verdicts,
-shell counts and the largest shell-log change, with where it lies."""
+shell and step counts and the largest shell-log change, with where it
+lies."""
 
 
 if __name__ == "__main__":
