@@ -29,12 +29,16 @@ the true solution at a grid point is exp(log_scale) * (y, y'). The
 equation is linear, which makes the rescaling exact.
 
 Each advance also integrates |y|^2 |dx| over the interval it crosses,
-step by step and without evaluating q again: the solution of the frozen
-generator, y cosh(mu s) + v sinh(mu s) / mu for s in [0, 1], has a
-closed-form integral of |y|^2, and the leading terms of its defect
-against the true solution, taken from the Taylor series of both with q
-interpolated through the three nodes, are added to it. Those terms are
-a series in h^2 (q - l), so a step on which q varies is also kept short
+step by step and without evaluating q again, by one routine in both
+frames (the Euler frame is described below). In the step's own variable
+s in [0, 1] the frozen generator's solution is y cosh(mu s) +
+v sinh(mu s) / mu, and the integral of its square against a weight
+e^(k s) has a closed form (_weighted_square_integral); the leading terms
+of its defect against the true solution, taken from the Taylor series of
+both with the coefficient interpolated through the three nodes, are
+added to it (_weighted_defect). In x the weight is 1, k = 0, and the sum
+is h times that; in t it is the fading d^2. The defect terms are a
+series in h^2 (q - l), so a step on which q varies is also kept short
 enough that |h^2 (q - l)| <= 1/4; where q is constant the frozen
 solution is exact and no such bound applies. Step control stays on
 (y, y') alone. The sum is kept in the solution's current scale
@@ -69,11 +73,10 @@ no longer shrink with d, and each dyadic shell is a t-interval of length
 ln 2. advance keeps its interface in x: it maps each state to
 (w, w_t) = (y, y / 2 - d dy/dd) in the log scale at x0, with d^(-1/2) put
 into log_scale, and back at x1. The integral of |y|^2 |dx| is that of
-d^2 |w|^2 dt, so a step of length h in t integrates e^(-2 h s) |w|^2 over
-its unit variable s: the frozen solution's weighted closed form, and
-defect terms carried to the same order for complex g1 and g2 and the
-weight. A step in t is at most 1 long, which keeps the weight inside
-those series, and the bound on |h^2 f| where f varies is 1 there, not
+d^2 |w|^2 dt, so a step of length h in t integrates |w|^2 against the
+weight e^(k s) with k = -2 h, times h d^2 at the step's start. A step in
+t is at most 1 long, which keeps the weight inside the series of the
+step integral, and the bound on |h^2 f| where f varies is 1 there, not
 1/4, since what varies is mostly the fading d^2 l. At ends at
 +-infinity, where l x^2 makes f grow, and at regular ends, where a
 constant q is already exact in x, the x frame stays.
@@ -131,10 +134,6 @@ _MAX_G0 = 0.25  # bound on |h^2 (q - l)| for a step on which q varies
 _MAX_EULER_STEP = 1.0  # bound on a step in t, so the weight e^(-2 h s) stays inside its series
 _MAX_EULER_G0 = 1.0  # bound on |h^2 f| for a step in t, where f varies mostly by the fading d^2 l
 _RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is rescaled
-# Taylor coefficients of p(x) = (sinh(2r) / (2r) - 1) / x and of
-# g(x) = ((cosh(2r) - 1) / (4x) - 1 / 2) / x, for x = r^2
-_P1, _P2, _P3, _P4, _P5 = (4.0**k / math.factorial(2 * k + 1) for k in range(1, 6))
-_G1, _G2, _G3, _G4, _G5 = (4.0**k / math.factorial(2 * k + 2) for k in range(1, 6))
 
 
 @dataclass(frozen=True)
@@ -388,14 +387,13 @@ class _Stepper:
             start = u
             u = target if final else u + hs
             g0, g1, g2 = h2 * p2, h2 * e1, h2 * e2
+            # in t, |y|^2 |dx| = d^2 |w|^2 dt, and d^2 falls as e^(-2 hs s) across the step
+            k = 0.0 if end is None else -2.0 * hs
             for i, (y6, d6, v) in enumerate(new):
                 y = ys[i]
-                if end is not None:
-                    # |y|^2 |dx| = d^2 |w|^2 dt, and d^2 falls as e^(-2 hs s) across the step
-                    weight = h * math.exp(2.0 * (refs[i] - start))
-                    totals[i] += weight * (_weighted_square_integral(mu, -2.0 * hs, y, v) + _weighted_defect(g0, g1, g2, -2.0 * hs, y, hs * dys[i]))
-                elif not green:
-                    totals[i] += h * (_unit_square_integral(mu, y, v) + _frozen_defect(g0, g1, g2, y, hs * dys[i]))
+                if not green:
+                    weight = h if end is None else h * math.exp(2.0 * (refs[i] - start))
+                    totals[i] += weight * (_weighted_square_integral(mu, k, y, v) + _weighted_defect(g0, g1, g2, k, y, hs * dys[i]))
                 s = abs(y6) + abs(d6)
                 if s == 0.0 or not math.isfinite(s):
                     raise NonFiniteError(f"solution state degenerate at x={self._x_at(u)}")
@@ -437,67 +435,11 @@ class _Stepper:
         return u if self.end is None else self.end + self.side * math.exp(-u)
 
 
-def _frozen_defect(g0: complex, g1: float, g2: float, y: complex, w: complex) -> float:
-    """Leading terms of the integral of |y|^2 over the unit step, true solution minus frozen one.
-
-    In the step's own variable s in [0, 1], y'' = g(s) y with
-    g = g0 + g1 (s - 1/2) + g2 (s - 1/2)^2, and y(0) = y, y'(0) = w; the
-    frozen solution is exp(s Omega) applied to that data. The terms kept
-    are those up to the sixth power of the step length, from the Taylor
-    series of both solutions (g0 counts as its second power, g1 as its
-    third, g2 as its fourth).
-    """
-    yy = abs(y) ** 2
-    ww = abs(w) ** 2
-    wy = w * y.conjugate()
-    r0 = g0.real
-    return (
-        (g2 * yy - (2.0 * g1 - g2) * wy.real - g1 * (r0 * yy + ww)) / 180.0
-        + r0 * g2 * yy / 1260.0
-        + g1 * g1 * yy / 1080.0
-        + g2 * ww / 756.0
-        - g1 * ((g0 * wy).real / 1260.0 + (g0 * wy.conjugate()).real * (17.0 / 3780.0))
-    )
-
-
 def _cosh_sinhc(mu: complex) -> Tuple[complex, complex]:
     """cosh(mu) and sinh(mu) / mu, so that exp(Omega) = cosh(mu) I + sinh(mu) / mu Omega for Omega^2 = mu^2 I."""
     if mu == 0.0:
         return 1.0, 1.0
     return cmath.cosh(mu), cmath.sinh(mu) / mu
-
-
-def _unit_square_integral(mu: complex, y: complex, v: complex) -> float:
-    """Integral over s in [0, 1] of |y cosh(mu s) + v sinh(mu s) / mu|^2.
-
-    With mu = r + i t, |cosh|^2, |sinh / mu|^2 and cosh conj(sinh / mu)
-    integrate to (Sh + Sn) / 2, (Sh - Sn) / (2 |mu|^2) and
-    (sinh(r)^2 / r - i sin(t)^2 / t) / (2 conj(mu)), where Sh = sinh(2r) / (2r)
-    and Sn = sin(2t) / (2t). For |mu|^2 < 1/32 they are summed as power
-    series in r^2 and t^2 instead, free of the cancellation in Sh - Sn.
-    """
-    r, t = mu.real, mu.imag
-    x, w = r * r, t * t
-    m2 = x + w
-    if m2 < 0.03125:
-        # Sh - 1 = x p(x) and Sn - 1 = -w p(-w); sinh(r)^2 / r = r (1 + 2 x g(x)), sin(t)^2 / t = t (1 - 2 w g(-w))
-        xp = x * (_P1 + x * (_P2 + x * (_P3 + x * (_P4 + x * _P5))))
-        wp = w * (_P1 - w * (_P2 - w * (_P3 - w * (_P4 - w * _P5))))
-        kcc = 1.0 + 0.5 * (xp - wp)
-        if m2 == 0.0:
-            return abs(y) ** 2 + abs(v) ** 2 / 3.0 + (y * v.conjugate()).real
-        kss = 0.5 * (xp + wp) / m2
-        gx = x * (_G1 + x * (_G2 + x * (_G3 + x * (_G4 + x * _G5))))
-        gw = w * (_G1 - w * (_G2 - w * (_G3 - w * (_G4 - w * _G5))))
-        cross = 0.5 + complex(r * gx, t * gw) / mu.conjugate()
-    else:
-        sh_r, sn_t = math.sinh(r), math.sin(t)
-        sh = sh_r * math.cosh(r) / r if r else 1.0
-        sn = sn_t * math.cos(t) / t if t else 1.0
-        kcc = 0.5 * (sh + sn)
-        kss = 0.5 * (sh - sn) / m2
-        cross = complex(sh_r * sh_r / r if r else 0.0, -(sn_t * sn_t / t if t else 0.0)) / (2.0 * mu.conjugate())
-    return abs(y) ** 2 * kcc + abs(v) ** 2 * kss + 2.0 * (y * v.conjugate() * cross).real
 
 
 def _weighted_square_integral(mu: complex, k: float, y: complex, v: complex) -> float:
@@ -566,9 +508,12 @@ def _phi(z: float) -> float:
 def _weighted_defect(g0: complex, g1: complex, g2: complex, k: float, y: complex, w: complex) -> float:
     """Leading terms of the integral of e^(k s) |y|^2 over the unit step, true solution minus frozen one.
 
-    _frozen_defect for a complex coefficient g = g0 + g1 (s - 1/2) +
-    g2 (s - 1/2)^2 and the weight e^(k s): the terms up to the sixth
-    power of the step length, with k counted as its first power, in the
+    In the step's own variable s in [0, 1], y'' = g(s) y with the complex
+    coefficient g = g0 + g1 (s - 1/2) + g2 (s - 1/2)^2, and y(0) = y,
+    y'(0) = w; the frozen solution is exp(s Omega) applied to that data.
+    The terms kept are those up to the sixth power of the step length,
+    from the Taylor series of both solutions (g0 counts as its second
+    power, g1 as its third, g2 as its fourth and k as its first), in the
     real and imaginary parts a + i b, p + i q and r + i s of g0, g1, g2.
     """
     a, b = g0.real, g0.imag

@@ -546,25 +546,30 @@ class TestGreenShellIntegrals:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_steppers_toward_infinity_add_up_no_square_integral(self, monkeypatch):
+        # the name and the weight's exponent k of every step-integral call
         calls = []
-        for name in ("_unit_square_integral", "_frozen_defect"):
+        for name, k_at in (("_weighted_square_integral", 1), ("_weighted_defect", 3)):
             original = getattr(odeint, name)
-            monkeypatch.setattr(odeint, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+            monkeypatch.setattr(odeint, name, lambda *args, _f=original, _n=name, _k=k_at: calls.append((_n, args[_k])) or _f(*args))
         steppers = counted_steppers(monkeypatch)
         classify_numeric(Harmonic(1.0), Endpoint(math.inf, "right"), 1.0, CFG)
         classify_numeric(Harmonic(1.0), Endpoint(-math.inf, "left"), -1.0, CFG)
         assert [s.green for s in steppers] == [True, True] and all(s.steps > 0 for s in steppers)
         assert calls == []
-        # a regular finite end, a standalone march and a real l toward +inf still sum inside the steps
-        odeint._Stepper(Harmonic(1.0), 1j, CFG, 2.0).advance(1.0, 1.5, [(1.0, 0.0, 0.0)])
-        assert sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+        # a regular finite end, a standalone march and a real l toward +inf
+        # still sum inside the steps, in x, where the weight is 1: k == 0
+        regular = odeint._Stepper(Harmonic(1.0), 1j, CFG, 2.0)
+        regular.advance(1.0, 1.5, [(1.0, 0.0, 0.0)])
+        assert regular.end is None and calls
+        assert {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
+        assert all(k == 0.0 for _, k in calls)
         calls.clear()
         integrate_grid(Harmonic(1.0), 1j, [1.0, 2.0, 4.0], ComplexState(1.0, 0.0), CFG)
-        assert sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+        assert {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
         calls.clear()
         real = odeint._Stepper(Harmonic(1.0), 2.0, CFG, math.inf)
         real.advance(1.0, 2.0, [(1.0, 0.0, 0.0)])
-        assert not real.green and sorted(set(calls)) == ["_frozen_defect", "_unit_square_integral"]
+        assert not real.green and {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
 
     def test_boundary_term_in_the_log_domain(self):
         # F0 = 3, F1 = 1 at one scale: the integral is 2; toward -inf the sign flips
