@@ -35,6 +35,11 @@ CFG = IntegratorConfig()
 SQRT2 = math.sqrt(2.0)
 
 
+def simpson(values, ds):
+    """Simpson's rule on an even number of pieces of width ds."""
+    return ds / 3.0 * (values[0] + values[-1] + 4.0 * math.fsum(values[1:-1:2]) + 2.0 * math.fsum(values[2:-1:2]))
+
+
 def random_polynomial(rng, degree=3, scale=5.0):
     return Sum(
         [PowerLaw(c=float(c), p=float(p)) for p, c in enumerate(rng.uniform(-scale, scale, degree + 1))]
@@ -151,8 +156,7 @@ class TestStepIntegral:
             y += dx / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             dy += dx / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             squares.append(abs(y) ** 2)
-        simpson = abs(dx) / 3.0 * (squares[0] + squares[-1] + 4.0 * sum(squares[1:-1:2]) + 2.0 * sum(squares[2:-1:2]))
-        return math.log(simpson)
+        return math.log(simpson(squares, abs(dx)))
 
     def one_step_log_integral(self, q, dy0, x0, h):
         stepper = odeint._Stepper(q, 1j, IntegratorConfig(rel_tol=1.0, abs_tol=1.0))
@@ -177,8 +181,8 @@ class TestStepIntegral:
         # for linear and quadratic q the three nodes interpolate q exactly;
         # the defect terms run to the sixth power of h, so the relative
         # error of the step integral falls about 2^7 times per halving
-        # (2^5 for the frozen solution alone, and a tenth off in one of
-        # the coefficients 1/180, 1/1080, 1/756, 17/3780 or either 1/1260
+        # (2^5 for the frozen solution alone, and a tenth off in any term
+        # of _weighted_defect that stays at k = 0 with real g1 and g2
         # moves the ratio out of this range)
         errors = [self.one_step_log_integral(q, dy0, 1.0, h) - self.fine_log_integral(q, dy0, 1.0, h) for h in (0.1, 0.05)]
         assert abs(errors[0]) < 1e-7 and 110.0 < errors[0] / errors[1] < 160.0
@@ -238,6 +242,90 @@ class TestStepIntegral:
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
+
+
+    @pytest.mark.parametrize("k", [0.0, 0.4, -0.4])
+    @pytest.mark.parametrize(
+        "mu",
+        [0.0, 0.015 + 0.008j, 0.02j, 0.022 + 0.005j, 0.7, 1.1j, 0.9 - 0.6j],
+        ids=["zero", "series", "series-imaginary", "above-the-switch", "real", "imaginary", "complex"],
+    )
+    def test_weighted_square_integral_matches_simpson(self, mu, k):
+        # |mu|^2 is 2.9e-4 and 4e-4 below the series switch at 1/2048 = 4.9e-4,
+        # and 5.1e-4 just above it, where C - c cancels most; the docstring's
+        # bound is 2e-12 relative
+        y, v, n = 1.0 - 0.2j, 0.5 - 0.3j, 2000
+        shc = lambda s: cmath.sinh(mu * s) / mu if mu else s
+        values = [math.exp(k * s) * abs(y * cmath.cosh(mu * s) + v * shc(s)) ** 2 for s in (j / n for j in range(n + 1))]
+        want = simpson(values, 1.0 / n)
+        assert abs(odeint._weighted_square_integral(complex(mu), k, y, v) - want) <= 2e-12 * want
+
+    @staticmethod
+    def fine_defect(g0=0.0, g1=0.0, g2=0.0, k=0.0, w=0.0, n=200):
+        """The integral of e^(k s) |y|^2 over s in [0, 1], true solution minus frozen one, by RK4 and Simpson's rule.
+
+        y'' = g(s) y with g = g0 + g1 (s - 1/2) + g2 (s - 1/2)^2, y(0) = 1
+        and y'(0) = w. The frozen generator is the log of the propagator
+        over the step, which differs from the stepper's sixth-order one at
+        the seventh power of the step, beyond the defect's terms.
+        """
+        g = lambda s: g0 + g1 * (s - 0.5) + g2 * (s - 0.5) ** 2
+        ds = 1.0 / n
+        f = lambda s, cols: [(dy, g(s) * y) for y, dy in cols]
+        shift = lambda cols, ks, c: [(y + c * ky, dy + c * kd) for (y, dy), (ky, kd) in zip(cols, ks)]
+        cols = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]  # the fundamental matrix, column by column
+        true = [1.0]
+        for j in range(n):
+            s = j * ds
+            k1 = f(s, cols)
+            k2 = f(s + 0.5 * ds, shift(cols, k1, 0.5 * ds))
+            k3 = f(s + 0.5 * ds, shift(cols, k2, 0.5 * ds))
+            k4 = f(s + ds, shift(cols, k3, ds))
+            cols = shift(cols, [tuple(a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(*ks)) for ks in zip(k1, k2, k3, k4)], ds / 6.0)
+            true.append(math.exp(k * (s + ds)) * abs(cols[0][0] + w * cols[1][0]) ** 2)
+        # exp(Omega) = cosh(mu) I + sinh(mu) / mu Omega, and Omega's first row applied to (1, w) is v
+        (p11, p21), (p12, p22) = cols
+        mu = cmath.acosh(0.5 * (p11 + p22))
+        shc = cmath.sinh(mu) / mu
+        v = ((p11 - p22) / 2.0 + w * p12) / shc
+        frozen = [math.exp(k * s) * abs(cmath.cosh(mu * s) + v * cmath.sinh(mu * s) / mu) ** 2 for s in (j * ds for j in range(n + 1))]
+        return simpson(true, ds) - simpson(frozen, ds)
+
+    @staticmethod
+    def projection(f, point, odd=(), second=()):
+        """The part of f at `point` odd in each name of `odd`, less its terms of order 0 in each name of `second`, which it must hold evenly."""
+        if odd:
+            name, *rest = odd
+            return 0.5 * (TestStepIntegral.projection(f, point, rest, second) - TestStepIntegral.projection(f, {**point, name: -point[name]}, rest, second))
+        if second:
+            name, *rest = second
+            part = lambda value: TestStepIntegral.projection(f, {**point, name: value}, (), rest)
+            return 0.5 * (part(point[name]) + part(-point[name])) - part(0.0)
+        return f(**point)
+
+    @pytest.mark.parametrize(
+        "point, odd, second",
+        [
+            ({"g1": 1.0j}, (), ()),
+            ({"g0": 0.3j, "g1": 1.0j, "k": 0.3}, ("g0", "k"), ()),
+            ({"g0": 0.3j, "g1": 1.0j, "w": 0.3}, ("g0", "w"), ()),
+            ({"g2": 1.0j, "k": 0.2, "w": 0.1j}, ("g2", "k"), ()),
+            ({"g1": 1.0j, "k": 0.3, "w": 0.3j}, ("g1",), ("k",)),
+            ({"g0": 0.3, "g1": 1.0j, "w": 0.3j}, ("g0", "g1"), ()),
+        ],
+        ids=["qq-2520", "bqk-756", "qb-3780", "ks-7560", "qkk-2520", "qa-3780"],
+    )
+    def test_weighted_defect_term_matches_a_fine_defect(self, point, odd, second):
+        # g0 = a + i b, g1 = p + i q and g2 = r + i s. With y = 1, each case
+        # keeps the one sixth-order term of its id: the inputs it needs, and
+        # the part odd in some of them (or of second order in k), which
+        # drops every lower term; what is left is of the eighth power of
+        # the step. These terms hold Im g1 or Im g2, which at l = i make the
+        # one-step tests above too small to see; a tenth off in any fails
+        # the 2 % bound here.
+        code = lambda g0=0.0, g1=0.0, g2=0.0, k=0.0, w=0.0: odeint._weighted_defect(complex(g0), complex(g1), complex(g2), k, 1.0 + 0j, complex(w))
+        want = self.projection(self.fine_defect, point, odd, second)
+        assert abs(self.projection(code, point, odd, second) - want) <= 0.02 * abs(want)
 
 
 class TestFrameRule:
