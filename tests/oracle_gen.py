@@ -14,6 +14,10 @@ log I_k), as decimal strings of 25 significant digits.
   y'' = (x^2 - i) y. Its shells grow as e^(x^2), so Im(conj(y) y') is a
   small part of |y| |y'| there, which the engine's boundary terms toward
   +inf must resolve.
+* q = x^2 from 1 toward the regular end 2, with the same pair: a smooth
+  q whose second difference across a step is not 0, so the x frame's
+  in-step sum of |y|^2 meets every term of its defect, which the table's
+  piecewise linear q does not.
 * q = c / x^2 toward 0 from 0.5, for c = 0.7 and c = 2: sqrt(x) J_nu(k x)
   and sqrt(x) Y_nu(k x) with k = sqrt(i) and nu = sqrt(c + 1/4), since
   u = sqrt(x) Z_nu(k x) solves u'' = ((nu^2 - 1/4) / x^2 - k^2) u.
@@ -186,6 +190,9 @@ def main():
           [2.0**k for k in range(5)], whole(airy_pair(), 1.0))
     write("harmonic_plus_inf", {"type": "harmonic", "k": 1.0}, "inf", 1.0,
           [2.0**k for k in range(5)], whole(parabolic_cylinder_pair(), 1.0))
+    # toward a regular end the distance halves per shell, 12 shells at the default max_shells
+    write("harmonic_regular_end", {"type": "harmonic", "k": 1.0}, 2.0, 1.0,
+          [2.0 - 2.0**-k for k in range(13)], whole(parabolic_cylinder_pair(), 1.0))
     for c in (0.7, 2.0):
         write(f"inverse_square_{c}_origin", {"type": "inverse_square", "c": c}, 0.0, 0.5,
               [0.5 * 2.0**-k for k in range(13)], whole(bessel_pair(c), 0.5))

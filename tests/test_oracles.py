@@ -26,6 +26,7 @@ def test_every_oracle_file_is_found():
     assert [p.stem for p in ORACLES] == [
         "airy_plus_inf",
         "harmonic_plus_inf",
+        "harmonic_regular_end",
         "inverse_square_0.7_origin",
         "inverse_square_2.0_origin",
         "table_45_knots_right_end",
