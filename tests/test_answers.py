@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -45,34 +46,27 @@ CORPUS = _corpus_module()
 CASES = [(w, s) for w in WORKLOADS for s in (CORPUS.DEFAULT_SEED, CORPUS.HOLDOUT_SEED)]
 
 
-class _Counted(lplc.classify._Stepper):
-    """A stepper that lists itself in `built` when classify builds it."""
-
-    built: list = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.built.append(self)
-
-
 def digest(workload: str, seed: int) -> list:
     """One entry per problem: its kind, per endpoint verdict, engine and shell logs, and per marched end its steps."""
+    built = []
+
+    class Counted(lplc.classify._Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
     out = []
-    stepper = lplc.classify._Stepper
-    lplc.classify._Stepper = _Counted
-    try:
+    with mock.patch.object(lplc.classify, "_Stepper", Counted):
         for problem in CORPUS.CORPORA[workload](seed):
             q = from_dict(problem.potential)
             subject = q if problem.n is None else effective_potential(q, problem.n, problem.l)
-            _Counted.built.clear()
+            built.clear()
             report = classify_interval(subject, problem.a, problem.b, engine=problem.engine)
             ends = []
             for ep in (report.left, report.right):
                 logs = [] if ep.tail is None else [float.hex(v) for v in ep.tail.log_shell_integrals]
                 ends.append({"verdict": ep.verdict.value, "engine": ep.engine.value, "logs": logs})
-            out.append({"kind": problem.kind, "ends": ends, "steps": [s.steps for s in _Counted.built]})
-    finally:
-        lplc.classify._Stepper = stepper
+            out.append({"kind": problem.kind, "ends": ends, "steps": [s.steps for s in built]})
     return out
 
 
