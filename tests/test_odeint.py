@@ -40,6 +40,18 @@ def simpson(values, ds):
     return ds / 3.0 * (values[0] + values[-1] + 4.0 * math.fsum(values[1:-1:2]) + 2.0 * math.fsum(values[2:-1:2]))
 
 
+def projection(f, point, odd=(), second=()):
+    """The part of f at `point` odd in each name of `odd`, less its terms of order 0 in each name of `second`, which it must hold evenly."""
+    if odd:
+        name, *rest = odd
+        return 0.5 * (projection(f, point, rest, second) - projection(f, {**point, name: -point[name]}, rest, second))
+    if second:
+        name, *rest = second
+        part = lambda value: projection(f, {**point, name: value}, (), rest)
+        return 0.5 * (part(point[name]) + part(-point[name])) - part(0.0)
+    return f(**point)
+
+
 def random_polynomial(rng, degree=3, scale=5.0):
     return Sum(
         [PowerLaw(c=float(c), p=float(p)) for p, c in enumerate(rng.uniform(-scale, scale, degree + 1))]
@@ -291,18 +303,6 @@ class TestStepIntegral:
         frozen = [math.exp(k * s) * abs(cmath.cosh(mu * s) + v * cmath.sinh(mu * s) / mu) ** 2 for s in (j * ds for j in range(n + 1))]
         return simpson(true, ds) - simpson(frozen, ds)
 
-    @staticmethod
-    def projection(f, point, odd=(), second=()):
-        """The part of f at `point` odd in each name of `odd`, less its terms of order 0 in each name of `second`, which it must hold evenly."""
-        if odd:
-            name, *rest = odd
-            return 0.5 * (TestStepIntegral.projection(f, point, rest, second) - TestStepIntegral.projection(f, {**point, name: -point[name]}, rest, second))
-        if second:
-            name, *rest = second
-            part = lambda value: TestStepIntegral.projection(f, {**point, name: value}, (), rest)
-            return 0.5 * (part(point[name]) + part(-point[name])) - part(0.0)
-        return f(**point)
-
     @pytest.mark.parametrize(
         "point, odd, second",
         [
@@ -319,13 +319,13 @@ class TestStepIntegral:
         # g0 = a + i b, g1 = p + i q and g2 = r + i s. With y = 1, each case
         # keeps the one sixth-order term of its id: the inputs it needs, and
         # the part odd in some of them (or of second order in k), which
-        # drops every lower term; what is left is of the eighth power of
-        # the step. These terms hold Im g1 or Im g2, which at l = i make the
-        # one-step tests above too small to see; a tenth off in any fails
-        # the 2 % bound here.
+        # drops every lower term; what is left is of the seventh power of
+        # the step or higher. These terms hold Im g1 or Im g2, which at
+        # l = i make the one-step tests above too small to see; a tenth
+        # off in any fails the 2 % bound here.
         code = lambda g0=0.0, g1=0.0, g2=0.0, k=0.0, w=0.0: odeint._weighted_defect(complex(g0), complex(g1), complex(g2), k, 1.0 + 0j, complex(w))
-        want = self.projection(self.fine_defect, point, odd, second)
-        assert abs(self.projection(code, point, odd, second) - want) <= 0.02 * abs(want)
+        want = projection(self.fine_defect, point, odd, second)
+        assert abs(projection(code, point, odd, second) - want) <= 0.02 * abs(want)
 
 
 class TestFrameRule:
