@@ -36,14 +36,14 @@ v sinh(mu s) / mu, and the integral of its square against a weight
 e^(k s) has a closed form (_weighted_square_integral); the leading terms
 of its defect against the true solution, taken from the Taylor series of
 both with the coefficient interpolated through the three nodes, are
-added to it (_weighted_defect). In x the weight is 1, k = 0, and the sum
-is h times that; in t it is the fading d^2. The defect terms are a
-series in h^2 (q - l), so a step on which q varies is also kept short
-enough that |h^2 (q - l)| <= 1/4; where q is constant the frozen
-solution is exact and no such bound applies. Step control stays on
-(y, y') alone. The sum is kept in the solution's current scale
-and folded into a log-domain total at every rescale, so it never
-overflows however far the solution grows or decays. integrate_grid
+added to it (_weighted_defect). In x the weight is 1, k = 0; in t it is
+the fading d^2. The defect terms are a series in h^2 (q - l), so a step
+on which q varies is also kept short enough that |h^2 (q - l)| <= 1/4;
+where q is constant the frozen solution is exact and no such bound
+applies. Step control stays on (y, y') alone. The sum is kept in the
+solution's current scale and folded into a log-domain total at every
+rescale, so it never overflows however far the solution grows or
+decays. integrate_grid
 returns one log integral per recording interval, in a trace of plain
 tuples, so integration and every classify run load no numpy: only the
 functions that compute on whole arrays import it.
