@@ -255,7 +255,6 @@ class TestStepIntegral:
         tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
 
-
     @pytest.mark.parametrize("k", [0.0, 0.4, -0.4])
     @pytest.mark.parametrize(
         "mu",
@@ -636,6 +635,7 @@ class TestGreenShellIntegrals:
     def test_steppers_toward_infinity_add_up_no_square_integral(self, monkeypatch):
         # the name and the weight's exponent k of every step-integral call
         calls = []
+        both = {"_weighted_square_integral", "_weighted_defect"}
         for name, k_at in (("_weighted_square_integral", 1), ("_weighted_defect", 3)):
             original = getattr(odeint, name)
             monkeypatch.setattr(odeint, name, lambda *args, _f=original, _n=name, _k=k_at: calls.append((_n, args[_k])) or _f(*args))
@@ -648,16 +648,15 @@ class TestGreenShellIntegrals:
         # still sum inside the steps, in x, where the weight is 1: k == 0
         regular = odeint._Stepper(Harmonic(1.0), 1j, CFG, 2.0)
         regular.advance(1.0, 1.5, [(1.0, 0.0, 0.0)])
-        assert regular.end is None and calls
-        assert {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
+        assert regular.end is None and {name for name, _ in calls} == both
         assert all(k == 0.0 for _, k in calls)
         calls.clear()
         integrate_grid(Harmonic(1.0), 1j, [1.0, 2.0, 4.0], ComplexState(1.0, 0.0), CFG)
-        assert {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
+        assert {name for name, _ in calls} == both
         calls.clear()
         real = odeint._Stepper(Harmonic(1.0), 2.0, CFG, math.inf)
         real.advance(1.0, 2.0, [(1.0, 0.0, 0.0)])
-        assert not real.green and {name for name, _ in calls} == {"_weighted_square_integral", "_weighted_defect"}
+        assert not real.green and {name for name, _ in calls} == both
 
     def test_boundary_term_in_the_log_domain(self):
         # F0 = 3, F1 = 1 at one scale: the integral is 2; toward -inf the sign flips
