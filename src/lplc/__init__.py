@@ -58,7 +58,6 @@ _EXPORTS = {
         "sequence_g",
     ),
     "odeint": (
-        "ComplexState",
         "IntegratorConfig",
         "SolutionTrace",
         "fundamental_pair",

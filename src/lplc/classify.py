@@ -57,7 +57,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import AsymptoticsUnavailableError, InsufficientTailError, InteriorSingularityError, NonFiniteError
-from .odeint import ComplexState, IntegratorConfig, _Stepper, shell_edges
+from .odeint import IntegratorConfig, _Stepper, shell_edges
 from .potentials import EffectiveProblem, Potential, evaluate
 
 # perfbench/tracer.py wraps these three by module attribute, so
@@ -341,12 +341,12 @@ def classify_numeric(
     # its step budget covers the whole march, and it marches in the Euler
     # frame when q does not evaluate at a finite endpoint.
     stepper = _Stepper(q, eigenvalue, cfg, endpoint.position)
-    state = ComplexState(1.0, 0.0)
+    state = (1.0, 0.0, 0.0)
     logs: List[float] = []
     for k in range(n_shells):
         shell = integrate_grid(q, eigenvalue, edges[k : k + 2], state, cfg, _stepper=stepper)
         logs.append(shell.log_square_integrals[0])
-        state = shell.final_state
+        state = (shell.y[-1], shell.dy[-1], shell.log_scale[-1])
         if _decisively_divergent(logs):
             break
     tail = TailReport(tuple(logs), margin)

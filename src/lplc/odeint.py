@@ -137,19 +137,6 @@ _RESCALE_BAND = 100.0  # a state leaving [1/_RESCALE_BAND, _RESCALE_BAND] is res
 
 
 @dataclass(frozen=True)
-class ComplexState:
-    """Mantissa pair (y, y') and its logarithmic scale.
-
-    The true solution values are exp(log_scale) * (y, dy). After every
-    rescale the mantissa satisfies |y| + |dy| in [1/_RESCALE_BAND, _RESCALE_BAND].
-    """
-
-    y: complex
-    dy: complex
-    log_scale: float = 0.0
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances, step budget and grid limits for the adaptive integrator."""
 
@@ -192,10 +179,6 @@ class SolutionTrace:
     potential: Potential
     direction: int
     log_square_integrals: Tuple[float, ...]
-
-    @property
-    def final_state(self) -> ComplexState:
-        return ComplexState(complex(self.y[-1]), complex(self.dy[-1]), float(self.log_scale[-1]))
 
     def values(self) -> np.ndarray:
         """True solution values; may overflow for extreme log scales."""
@@ -640,13 +623,17 @@ def integrate_grid(
     q: Potential,
     l: complex,
     grid: Sequence[float],
-    init: ComplexState,
+    init: Tuple[complex, complex, float],
     cfg: Optional[IntegratorConfig] = None,
     *,
     _stepper: Optional[_Stepper] = None,
 ) -> SolutionTrace:
     """Integrate -y'' + q y = l y from the one state `init`, recording it at every grid point.
 
+    init is the state (y, dy, log_scale) of _Stepper.advance, the true
+    values exp(log_scale) * (y, dy) at grid[0]; a state whose |y| + |dy|
+    leaves [1/_RESCALE_BAND, _RESCALE_BAND], init included, is divided by
+    that sum into the band, and the trace's last state continues a march.
     cfg.max_steps bounds the attempted steps of this call, or of every
     call sharing `_stepper`.
     """
@@ -654,7 +641,7 @@ def integrate_grid(
     return _march(q, complex(l), grid, [init], _stepper or _Stepper(q, complex(l), cfg))[0]
 
 
-def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[ComplexState], stepper: _Stepper):
+def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[Tuple[complex, complex, float]], stepper: _Stepper):
     """One trace per initial state, all marched on the stepper's one step sequence."""
     try:
         points = tuple(float(x) for x in grid)
@@ -667,7 +654,7 @@ def _march(q: Potential, l: complex, grid: Sequence[float], inits: Sequence[Comp
     pairs = tuple(zip(points, points[1:]))
     if not (all(x0 < x1 for x0, x1 in pairs) or all(x0 > x1 for x0, x1 in pairs)):
         raise ValueError("grid must be strictly monotone")
-    states = [_normalized(complex(s.y), complex(s.dy), float(s.log_scale)) for s in inits]
+    states = [_normalized(complex(y), complex(dy), float(scale)) for y, dy, scale in inits]
     rows = [states]
     integrals = []
     for x0, x1 in pairs:
@@ -709,7 +696,7 @@ def fundamental_pair(
     cfg = cfg or IntegratorConfig()
     grid = build_grid(q, x0, target, cfg)
     l = complex(l)
-    return tuple(_march(q, l, grid, [ComplexState(1.0, 0.0), ComplexState(0.0, 1.0)], _Stepper(q, l, cfg)))
+    return tuple(_march(q, l, grid, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], _Stepper(q, l, cfg)))
 
 
 def concatenate_traces(traces: Sequence[SolutionTrace]) -> SolutionTrace:

@@ -17,7 +17,6 @@ from lplc.errors import (
     StepUnderflowError,
 )
 from lplc.odeint import (
-    ComplexState,
     IntegratorConfig,
     build_grid,
     concatenate_traces,
@@ -61,7 +60,7 @@ def random_polynomial(rng, degree=3, scale=5.0):
 class TestIntegrate:
     def test_linear_solution(self):
         # y'' = 0 with y(0) = 0, y'(0) = 1 is exactly y = x
-        t = integrate_grid(Zero(), 0.0, build_grid(Zero(), 0.0, 1.0, CFG), ComplexState(0.0, 1.0), CFG)
+        t = integrate_grid(Zero(), 0.0, build_grid(Zero(), 0.0, 1.0, CFG), (0.0, 1.0, 0.0), CFG)
         assert t.x[-1] == 1.0
         assert abs(t.values()[-1] - 1.0) < 10 * CFG.rel_tol
         assert abs(t.derivative_values()[-1] - 1.0) < 10 * CFG.rel_tol
@@ -71,31 +70,31 @@ class TestIntegrate:
         # solves -y'' = i y; check the oracle itself first
         mu = (1j - 1.0) / SQRT2
         assert abs(mu * mu + 1j) < 1e-15
-        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 0.0, 5.0, CFG), ComplexState(1.0, mu), CFG)
+        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 0.0, 5.0, CFG), (1.0, mu, 0.0), CFG)
         exact = cmath.exp(mu * 5.0)
         assert abs(t.values()[-1] - exact) / abs(exact) < 10 * CFG.rel_tol
 
     def test_inverse_square_power_solution(self):
         # oracle: differentiate y = x^2 symbolically: -(2) + (2/x^2) x^2 = 0,
         # so y = x^2 solves -y'' + 2 y / x^2 = 0 with y(1) = 1, y'(1) = 2
-        t = integrate_grid(InverseSquare(2.0), 0.0, build_grid(InverseSquare(2.0), 1.0, 2.0, CFG), ComplexState(1.0, 2.0), CFG)
+        t = integrate_grid(InverseSquare(2.0), 0.0, build_grid(InverseSquare(2.0), 1.0, 2.0, CFG), (1.0, 2.0, 0.0), CFG)
         assert abs(t.values()[-1] - 4.0) / 4.0 < 10 * CFG.rel_tol
 
     def test_rejects_equal_bounds(self):
         with pytest.raises(ValueError):
-            integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 1.0, CFG), ComplexState(1.0, 0.0), CFG)
+            integrate_grid(Zero(), 0.0, build_grid(Zero(), 1.0, 1.0, CFG), (1.0, 0.0, 0.0), CFG)
 
     def test_max_steps_exceeded(self):
         # a Magnus step is exact for constant q, so a fast-varying q exhausts the budget
         cfg = IntegratorConfig(max_steps=1000)
         q = PowerLaw(-1e8, 1.0)
         with pytest.raises(MaxStepsExceededError, match=r"budget of 1000 attempted steps exhausted at x=0\.05"):
-            integrate_grid(q, 0.0, build_grid(q, 0.0, 10.0, cfg), ComplexState(1.0, 0.0), cfg)
+            integrate_grid(q, 0.0, build_grid(q, 0.0, 10.0, cfg), (1.0, 0.0, 0.0), cfg)
 
     def test_step_underflow_on_unresolvable_grid(self):
         # a 4-ulp recording interval at x = 1e16 cannot be resolved
         with pytest.raises(StepUnderflowError):
-            integrate_grid(Zero(), 0.0, [1e16, 1e16 + 4.0], ComplexState(1.0, 0.0), CFG)
+            integrate_grid(Zero(), 0.0, [1e16, 1e16 + 4.0], (1.0, 0.0, 0.0), CFG)
 
     def test_potential_evaluation_propagates(self):
         from lplc.errors import OutOfRangeError
@@ -103,7 +102,7 @@ class TestIntegrate:
 
         q = Tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(OutOfRangeError):
-            integrate_grid(q, 0.0, [2.5, 3.5], ComplexState(1.0, 0.0), CFG)
+            integrate_grid(q, 0.0, [2.5, 3.5], (1.0, 0.0, 0.0), CFG)
 
 
 class TestBreakpoints:
@@ -125,7 +124,7 @@ class TestBreakpoints:
         from lplc.potentials import Tabulated
 
         q = self.Recording(Tabulated([0.0, 0.7, 1.0, 2.2, 3.0], [1.0, -2.0, 3.0, 0.5, 4.0]))
-        integrate_grid(q, 1j, [x0, x1], ComplexState(1.0, 0.0), CFG)
+        integrate_grid(q, 1j, [x0, x1], (1.0, 0.0, 0.0), CFG)
         # the first evaluation sizes the first step; then each attempt takes three nodes
         nodes = q.xs[1:]
         assert len(nodes) % 3 == 0 and len(nodes) > 30
@@ -142,9 +141,9 @@ class TestBreakpoints:
         xs = [0.2 + 0.1 * k for k in range(41)]
         q = Tabulated(xs, [math.sin(3.0 * x) + 0.5 * math.cos(7.0 * x) for x in xs])
         edges = shell_edges(1.0, 4.2, CFG)[:13]
-        loose = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG).log_square_integrals
+        loose = integrate_grid(q, 1j, edges, (1.0, 0.0, 0.0), CFG).log_square_integrals
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        tight = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
+        tight = integrate_grid(q, 1j, edges, (1.0, 0.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < 1e-8
 
 
@@ -250,9 +249,9 @@ class TestStepIntegral:
         ],
     )
     def test_oscillatory_march_matches_a_tight_one(self, q, grid, bound):
-        loose = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), CFG).log_square_integrals
+        loose = integrate_grid(q, 1j, grid, (1.0, 0.0, 0.0), CFG).log_square_integrals
         tight_cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        tight = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), tight_cfg).log_square_integrals
+        tight = integrate_grid(q, 1j, grid, (1.0, 0.0, 0.0), tight_cfg).log_square_integrals
         assert max(abs(a - b) for a, b in zip(loose, tight)) < bound
 
     @pytest.mark.parametrize("k", [0.0, 0.4, -0.4])
@@ -617,7 +616,7 @@ class TestGreenShellIntegrals:
 
         def recorded(*args, **kwargs):
             trace = shell(*args, **kwargs)
-            states.append(trace.final_state)
+            states.append((trace.y[-1], trace.dy[-1], trace.log_scale[-1]))
             return trace
 
         monkeypatch.setattr(lplc.classify, "integrate_grid", recorded)
@@ -625,10 +624,10 @@ class TestGreenShellIntegrals:
         (green,) = steppers
         quadrature = odeint._Stepper(q, 1j, CFG)
         edges = shell_edges(anchor, end, CFG)[: len(logs) + 1]
-        trace = integrate_grid(q, 1j, edges, ComplexState(1.0, 0.0), CFG, _stepper=quadrature)
+        trace = integrate_grid(q, 1j, edges, (1.0, 0.0, 0.0), CFG, _stepper=quadrature)
         assert green.green and not quadrature.green
         assert green.steps == quadrature.steps
-        assert states == [ComplexState(*row) for row in zip(trace.y, trace.dy, trace.log_scale)][1:]
+        assert states == list(zip(trace.y, trace.dy, trace.log_scale))[1:]
         for got, want in zip(logs, trace.log_square_integrals, strict=True):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -651,7 +650,7 @@ class TestGreenShellIntegrals:
         assert regular.end is None and {name for name, _ in calls} == both
         assert all(k == 0.0 for _, k in calls)
         calls.clear()
-        integrate_grid(Harmonic(1.0), 1j, [1.0, 2.0, 4.0], ComplexState(1.0, 0.0), CFG)
+        integrate_grid(Harmonic(1.0), 1j, [1.0, 2.0, 4.0], (1.0, 0.0, 0.0), CFG)
         assert {name for name, _ in calls} == both
         calls.clear()
         real = odeint._Stepper(Harmonic(1.0), 2.0, CFG, math.inf)
@@ -686,8 +685,8 @@ class TestWronskian:
     def test_linear_against_constant(self):
         # y1 = x (shifted: x - 1 + 1 from data (1,1)) vs y2 = 1: W = -1
         grid = build_grid(Zero(), 1.0, 2.0, CFG)
-        t1 = integrate_grid(Zero(), 0.0, grid, ComplexState(1.0, 1.0), CFG)  # y = x
-        t2 = integrate_grid(Zero(), 0.0, grid, ComplexState(1.0, 0.0), CFG)  # y = 1
+        t1 = integrate_grid(Zero(), 0.0, grid, (1.0, 1.0, 0.0), CFG)  # y = x
+        t2 = integrate_grid(Zero(), 0.0, grid, (1.0, 0.0, 0.0), CFG)  # y = 1
         assert np.max(np.abs(wronskian_values(t1, t2) - (-1.0))) < 1e-8
 
     def test_self_wronskian_vanishes(self):
@@ -723,9 +722,9 @@ class TestInvariants:
         a, b = 1.3 - 0.7j, -0.4 + 2.1j
         q = Coulomb(-1.0)
         grid = build_grid(q, 0.5, 1.5, CFG)
-        t1 = integrate_grid(q, 1j, grid, ComplexState(1.0, 0.0), CFG)
-        t2 = integrate_grid(q, 1j, grid, ComplexState(0.0, 1.0), CFG)
-        t3 = integrate_grid(q, 1j, grid, ComplexState(a, b), CFG)
+        t1 = integrate_grid(q, 1j, grid, (1.0, 0.0, 0.0), CFG)
+        t2 = integrate_grid(q, 1j, grid, (0.0, 1.0, 0.0), CFG)
+        t3 = integrate_grid(q, 1j, grid, (a, b, 0.0), CFG)
         combined = a * t1.values() + b * t2.values()
         scale = np.max(np.abs(combined))
         assert np.max(np.abs(t3.values() - combined)) < 10 * CFG.rel_tol * scale
@@ -734,9 +733,9 @@ class TestInvariants:
         cfg = IntegratorConfig(x_max=12.0)
         grid = build_grid(Zero(), 1.0, math.inf, cfg)
         monkeypatch.setattr(odeint, "_RESCALE_BAND", 10.0)
-        t_tight = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg)
+        t_tight = integrate_grid(Zero(), 1j, grid, (1.0, 0.0, 0.0), cfg)
         monkeypatch.setattr(odeint, "_RESCALE_BAND", 1e12)
-        t_loose = integrate_grid(Zero(), 1j, grid, ComplexState(1.0, 0.0), cfg)
+        t_loose = integrate_grid(Zero(), 1j, grid, (1.0, 0.0, 0.0), cfg)
         assert np.max(np.abs(t_tight.log_scale)) > 0.0  # rescaling actually fired
         assert np.all(np.asarray(t_loose.log_scale) == 0.0)
         v1, v2 = t_tight.values(), t_loose.values()
@@ -745,7 +744,7 @@ class TestInvariants:
 
     def test_band_invariant_after_rescale(self):
         cfg = IntegratorConfig(x_max=50.0)
-        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 1.0, math.inf, cfg), ComplexState(1.0, 0.5), cfg)
+        t = integrate_grid(Zero(), 1j, build_grid(Zero(), 1.0, math.inf, cfg), (1.0, 0.5, 0.0), cfg)
         magnitude = np.abs(t.y) + np.abs(t.dy)
         assert np.all(magnitude <= odeint._RESCALE_BAND * (1 + 1e-12))
         assert np.all(magnitude >= 1.0 / odeint._RESCALE_BAND * (1 - 1e-12))
@@ -753,10 +752,9 @@ class TestInvariants:
     def test_conjugation_symmetry(self):
         q = Coulomb(1.0)
         grid = build_grid(q, 0.5, 2.0, CFG)
-        init = ComplexState(1.0 + 0.5j, -0.25 + 1.0j)
-        conj_init = ComplexState(init.y.conjugate(), init.dy.conjugate())
-        t = integrate_grid(q, 1j, grid, init, CFG)
-        tc = integrate_grid(q, -1j, grid, conj_init, CFG)
+        y0, dy0 = 1.0 + 0.5j, -0.25 + 1.0j
+        t = integrate_grid(q, 1j, grid, (y0, dy0, 0.0), CFG)
+        tc = integrate_grid(q, -1j, grid, (y0.conjugate(), dy0.conjugate(), 0.0), CFG)
         assert np.array_equal(tc.y, np.conj(t.y))
         assert np.array_equal(tc.dy, np.conj(t.dy))
         assert np.array_equal(tc.log_scale, t.log_scale)
@@ -848,7 +846,7 @@ class TestGreenIdentity:
             green_identity_residual(f, f, 0.0, 1.0)
 
     def test_three_point_trace_rejected(self):
-        t = integrate_grid(Zero(), 1j, [0.0, 0.5, 1.0], ComplexState(1.0, 0.0), CFG)
+        t = integrate_grid(Zero(), 1j, [0.0, 0.5, 1.0], (1.0, 0.0, 0.0), CFG)
         with pytest.raises(ValueError, match="at least 4 points"):
             green_identity_residual(t, t, 0.0, 1.0)
 
@@ -856,9 +854,9 @@ class TestGreenIdentity:
 class TestTraceUtilities:
     def test_concatenate(self):
         grid1 = build_grid(Zero(), 0.0, 1.0, CFG)
-        t1 = integrate_grid(Zero(), 0.0, grid1, ComplexState(0.0, 1.0), CFG)
+        t1 = integrate_grid(Zero(), 0.0, grid1, (0.0, 1.0, 0.0), CFG)
         grid2 = build_grid(Zero(), 1.0, 2.0, CFG)
-        t2 = integrate_grid(Zero(), 0.0, grid2, t1.final_state, CFG)
+        t2 = integrate_grid(Zero(), 0.0, grid2, (t1.y[-1], t1.dy[-1], t1.log_scale[-1]), CFG)
         joined = concatenate_traces([t1, t2])
         assert joined.x[0] == 0.0 and joined.x[-1] == 2.0
         assert np.all(np.diff(joined.x) > 0)

@@ -16,7 +16,6 @@ import pytest
 from lplc import odeint
 from lplc.classify import classify_interval
 from lplc.odeint import (
-    ComplexState,
     IntegratorConfig,
     build_grid,
     concatenate_traces,
@@ -26,7 +25,7 @@ from lplc.odeint import (
 from lplc.potentials import Coulomb, InverseSquare, Zero
 
 CFG = IntegratorConfig()
-PAIR = (ComplexState(1.0, 0.0), ComplexState(0.0, 1.0))
+PAIR = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 MU = cmath.sqrt(-1j)  # mu^2 = -i: the free equation at the probe eigenvalue i
 
 
@@ -118,7 +117,7 @@ def test_growing_exponential_over_one_long_interval():
     # beyond float range, so the accumulator must stay in the log domain
     mu = (1.0 + 1j) / math.sqrt(2.0)
     a = mu.real
-    trace = integrate_grid(Zero(), -1j, [0.0, 1000.0], ComplexState(1.0, mu), CFG)
+    trace = integrate_grid(Zero(), -1j, [0.0, 1000.0], (1.0, mu, 0.0), CFG)
     exact = 2000.0 * a + math.log1p(-math.exp(-2000.0 * a)) - math.log(2.0 * a)
     (value,) = trace.log_square_integrals
     assert math.isfinite(value)
@@ -132,7 +131,7 @@ def test_columns_and_concatenation_carry_the_integrals():
     half = grid.size // 2
     for seed in PAIR:
         first = integrate_grid(Zero(), 1j, grid[: half + 1], seed, CFG)
-        second = integrate_grid(Zero(), 1j, grid[half:], first.final_state, CFG)
+        second = integrate_grid(Zero(), 1j, grid[half:], (first.y[-1], first.dy[-1], first.log_scale[-1]), CFG)
         joined = concatenate_traces([first, second])
         assert joined.log_square_integrals == first.log_square_integrals + second.log_square_integrals
         single = integrate_grid(Zero(), 1j, grid, seed, CFG)
