@@ -72,6 +72,7 @@ DEFAULT_MAX_SHELLS = 12
 DEFAULT_MIN_SHELLS = 4
 DEFAULT_FIT_WINDOW = 6
 _DECISIVE_LOG_RATIO = math.log(4.0)
+_DECISIVE_SLACK = 1e-9  # relative: equal shell-log increments of pure power growth differ by rounding
 _ZERO_FLOOR = -690.0  # ln of ~1e-300; below this a shell integral counts as zero
 
 
@@ -289,7 +290,7 @@ def _decisively_divergent(logs: Sequence[float]) -> bool:
     d1 = logs[-1] - logs[-2]
     d2 = logs[-2] - logs[-3]
     # growth that shrinks shell by shell, as toward a regular end, is not decisive
-    return d2 > _DECISIVE_LOG_RATIO and d1 >= d2
+    return d2 > _DECISIVE_LOG_RATIO and d1 >= d2 * (1.0 - _DECISIVE_SLACK)
 
 
 def classify_numeric(

@@ -21,6 +21,7 @@ from lplc.classify import (
     EndpointVerdict,
     Engine,
     TailReport,
+    _decisively_divergent,
     _safe_exp,
     band_status,
     classify_asymptotic,
@@ -828,6 +829,36 @@ class TestAnchorRule:
         cls = classify_numeric(q, ORIGIN, 1.0, CFG)
         assert cls.verdict is LP
         assert len(cls.tail.log_shell_integrals) == 4
+
+    @pytest.mark.parametrize(
+        "logs",
+        [
+            # the first 4 shells of zero with n = 3, l = 100000 toward +inf:
+            # the last increment falls short of the one before by 2.9e-9
+            (138617.92316152682, 277249.43871505145, 415880.95426858834, 554512.4698221224),
+            (0.0, 1e5, 2e5, math.nextafter(math.nextafter(3e5, 0.0), 0.0)),
+            (0.0, 2.0, 4.0, math.nextafter(6.0, 0.0)),
+        ],
+        ids=["centrifugal-l-1e5", "ulps-below-1e5", "ulp-below-ln4"],
+    )
+    def test_power_growth_equal_to_rounding_is_decisive(self, logs):
+        d1, d2 = logs[-1] - logs[-2], logs[-2] - logs[-3]
+        assert d2 > math.log(4.0) and d1 < d2  # the last increment falls short by rounding only
+        assert _decisively_divergent(logs)
+
+    @pytest.mark.parametrize(
+        "logs",
+        [
+            (0.0, 8.0, 12.0, 14.0),  # increments halving, as toward a regular end
+            (0.0, 1e5, 1e5 + 5e4, 1e5 + 7.5e4),
+            (0.0, 1e5, 2e5, 3e5 - 1e-3),  # 1e-8 of an increment short, beyond rounding
+            (0.0, 1.0, 2.0, 3.0),  # steady, but below ln 4 per shell
+            (0.0, 2.0, 4.0),  # fewer than DEFAULT_MIN_SHELLS
+        ],
+        ids=["halving", "halving-1e5", "short-by-1e-8", "below-ln4", "three-shells"],
+    )
+    def test_shrinking_or_slow_growth_is_not_decisive(self, logs):
+        assert not _decisively_divergent(logs)
 
     def test_origin_without_a_coefficient_falls_back_to_the_march(self):
         report = classify_interval(PowerLaw(1.0, -3.0), 0.0, 1.0, engine="both")
