@@ -353,7 +353,7 @@ def cmd_effective_potential(args) -> int:
         condition = "unknown (no exact origin coefficient)"
     else:
         status = "holds" if origin.verdict is _classify.EndpointVerdict.LIMIT_POINT else "fails"
-        condition = f"{status} (coefficient {origin.origin_coefficient!r} vs threshold 0.75)"
+        condition = f"{status} (coefficient {origin.origin_coefficient!r} vs threshold {_classify.ORIGIN_LP_THRESHOLD!r})"
     # every row is evaluated before anything is written, so a row that fails leaves stdout empty
     rows = [[repr(x), repr(_pot.evaluate(potential, x)), repr(_pot.evaluate(problem.q_eff, x))] for x in grid]
     out = sys.stdout
